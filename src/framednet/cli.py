@@ -93,11 +93,27 @@ def _cached(args, key_doc: dict, compute) -> dict:
             print(f"warning: ignoring unreadable cache entry {path}: {e}", file=sys.stderr)
     result = compute()
     os.makedirs(cache, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump({"_manifest": key_doc, "result": result}, fh, sort_keys=True)
-    os.replace(tmp, path)
+    # A name of this writer's own, so concurrent writers never share a temp
+    # file; opened like any new file so the entry keeps the umask's mode.
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            json.dump({"_manifest": key_doc, "result": result}, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return result
+
+
+def _order(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
 
 
 def _parse_fraction(s: str) -> Fraction:
@@ -174,7 +190,7 @@ def _cmd_orbifold_char(args) -> int:
     def compute() -> dict:
         code = _load_code(args.code)
         p = orbifold.orbifold_pieces(code, args.variant, args.order)
-        ch = orbifold.orbifold_vacuum_char(code, args.variant, args.order)
+        ch = orbifold.vacuum_char_from_pieces(p)
         doc = ch.series.to_json_dict()
         if not p.sign_validated:
             doc["warning"] = "unvalidated sign convention at this rank"
@@ -337,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("char", help="lattice net vacuum character")
     add_code_flags(sp)
-    sp.add_argument("--order", type=int, default=5, help="q-steps above the leading term")
+    sp.add_argument("--order", type=_order, default=5, help="q-steps above the leading term")
     sp.add_argument("--route", choices=("code", "theta", "both"), default="code")
     sp.add_argument("--json")
     sp.add_argument("--csv")
 
     sp = sub.add_parser("orbifold-char", help="twisted orbifold vacuum character")
     add_code_flags(sp)
-    sp.add_argument("--order", type=int, default=5)
+    sp.add_argument("--order", type=_order, default=5)
     sp.add_argument("--pieces", action="store_true", help="emit Z1-Z4 and sector characters")
     sp.add_argument("--json")
     sp.add_argument("--csv")

@@ -14,9 +14,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 Vector = Tuple[int, ...]
+Profile = Tuple[int, int, int, int]
 
 ENUM_LIMIT = 1 << 26
 
@@ -165,6 +164,22 @@ def validate_binary_code(code: BinaryCode) -> CodeReport:
     return CodeReport(doubly_even, self_dual, all_ones, weights)
 
 
+def check_lattice_hypotheses(code: BinaryCode) -> CodeReport:
+    """Report of a code both lattice constructions accept, else CodeError.
+
+    The code must be doubly even, contain the all-ones vector and have
+    length divisible by 8.
+    """
+    report = validate_binary_code(code)
+    if not report.doubly_even:
+        raise CodeError("code is not doubly even")
+    if not report.contains_all_ones:
+        raise CodeError("code does not contain the all-ones vector")
+    if code.length % 8 != 0:
+        raise CodeError("code length must be a multiple of 8")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # code file format
 
@@ -292,7 +307,7 @@ class Z4Code:
         self.length = length
         self.generators: Tuple[Vector, ...] = tuple(gens)
         self._basis = self._build_basis()
-        self._profile: Dict[Tuple[int, int, int, int], int] | None = None
+        self._profile: Dict[Profile, int] | None = None
 
     # -- basis ---------------------------------------------------------
 
@@ -365,50 +380,23 @@ class Z4Code:
 
     # -- complete weight profile ---------------------------------------
 
-    def weight_profile(self) -> Dict[Tuple[int, int, int, int], int]:
-        """Counts of codewords by symbol multiplicities (n0, n1, n2, n3)."""
+    def weight_profile(self) -> Dict[Profile, int]:
+        """Counts of codewords by symbol multiplicities (n0, n1, n2, n3).
+
+        delta_code sets the profile from the binary code's pair types;
+        any other code is enumerated here.
+        """
         if self._profile is None:
             self._profile = self._compute_profile()
         return self._profile
 
-    def _compute_profile(self) -> Dict[Tuple[int, int, int, int], int]:
-        if len(self) > ENUM_LIMIT:
-            raise CodeError("Z4 code too large to profile")
-        d = self.length
-        m = len(self._basis)
-        rows = np.array(self._basis, dtype=np.uint8).reshape(m, d)
-        ha = m // 2
-        low = _binary_sums(rows[:ha], d)
-        high = _binary_sums(rows[ha:], d)
-        base = d + 1
-        counts = np.zeros(base ** 3, dtype=np.int64)
-        chunk = max(1, (1 << 22) // max(1, low.shape[0] * d))
-        for i in range(0, high.shape[0], chunk):
-            block = (low[None, :, :] + high[i:i + chunk, None, :]) % 4
-            n1 = (block == 1).sum(axis=2, dtype=np.int64)
-            n2 = (block == 2).sum(axis=2, dtype=np.int64)
-            n3 = (block == 3).sum(axis=2, dtype=np.int64)
-            keys = (n1 + base * n2 + base * base * n3).ravel()
-            counts += np.bincount(keys, minlength=base ** 3)
-        profile: Dict[Tuple[int, int, int, int], int] = {}
-        for key in np.nonzero(counts)[0]:
-            k = int(key)
-            n1, k = k % base, k // base
-            n2, n3 = k % base, k // base
-            profile[(d - n1 - n2 - n3, n1, n2, n3)] = int(counts[key])
-        assert sum(profile.values()) == len(self)
-        return profile
+    def _compute_profile(self) -> Dict[Profile, int]:
+        return dict(Counter(
+            (w.count(0), w.count(1), w.count(2), w.count(3)) for w in self.codewords()
+        ))
 
     def __repr__(self) -> str:
         return f"Z4Code(length={self.length}, size=2^{len(self._basis)})"
-
-
-def _binary_sums(rows: np.ndarray, d: int) -> np.ndarray:
-    """All {0,1}-combinations of the given Z4 rows, as a (2^m, d) array."""
-    out = np.zeros((1, d), dtype=np.uint8)
-    for r in rows:
-        out = np.concatenate([out, (out + r[None, :]) % 4], axis=0)
-    return out
 
 
 def z4_code_from_text(text: str) -> Z4Code:
@@ -450,14 +438,8 @@ def delta_code(code: BinaryCode, variant: str) -> Z4Code:
     """Z4-code of the lattice built from `code` (variant "L" or "Ltilde")."""
     if variant not in ("L", "Ltilde"):
         raise CodeError(f"variant must be L or Ltilde, got {variant!r}")
-    report = validate_binary_code(code)
-    if not report.doubly_even:
-        raise CodeError("code is not doubly even")
-    if not report.contains_all_ones:
-        raise CodeError("code does not contain the all-ones vector")
+    check_lattice_hypotheses(code)
     d = code.length
-    if d % 8 != 0:
-        raise CodeError("code length must be a multiple of 8")
     gens: List[Vector] = [_hat_section(g) for g in code.generators]
     if variant == "L":
         sigma = sigma2_code(d // 2, zero_variant=False)
@@ -469,7 +451,65 @@ def delta_code(code: BinaryCode, variant: str) -> Z4Code:
     expected = len(code) << (d // 2)
     if len(out) != expected:
         raise CodeError(f"delta code cardinality {len(out)} != {expected}")
+    out._profile = _delta_profile(code, variant)
     return out
+
+
+def _delta_profile(code: BinaryCode, variant: str) -> Dict[Profile, int]:
+    """Complete weight profile of delta_code(code, variant), by pair types.
+
+    A coset v + {(00),(22)}^{d/2} has the symbol-count polynomial
+    prod over the pairs (a, b) of v of x_a x_b + x_{a+2} x_{b+2}; for
+    hat_section these are the Ising branching identities 00 -> x0^2 + x2^2,
+    11 -> 2 x0 x2, 10 -> x1^2 + x3^2, 01 -> 2 x1 x3.  So each codeword
+    counts only through its multiset of pairs.  For a doubly-even code
+    hat_section is additive modulo the even-(22)-count subcode, so Ltilde
+    is the union of hat_section(c) and hat_section(c) + glue_vector(d)
+    plus that subcode; averaging over the sign s in x_a x_b + s x_{a+2}
+    x_{b+2} keeps the even (22)-counts.
+    """
+    d = code.length
+    base = d + 1  # counts stay below base, so packed monomials never carry
+    unit = (base ** 3, base ** 2, base, 1)
+    shifts = [(0,) * d]
+    signs: Tuple[int, ...] = (1,)
+    if variant == "Ltilde":
+        shifts.append(glue_vector(d))
+        signs = (1, -1)
+    types: Counter = Counter()
+    for c in code.codewords():
+        v = _hat_section(c)
+        for shift in shifts:
+            w = [(a + b) % 4 for a, b in zip(v, shift)]
+            pairs = Counter(tuple(sorted(p)) for p in zip(w[::2], w[1::2]))
+            types[tuple(sorted(pairs.items()))] += 1
+    total: Counter = Counter()
+    for pairs, count in types.items():
+        for s in signs:
+            poly = {0: count}
+            for (a, b), k in pairs:
+                first = unit[a] + unit[b]
+                second = unit[(a + 2) % 4] + unit[(b + 2) % 4]
+                power: Counter = Counter()
+                for j in range(k + 1):
+                    power[(k - j) * first + j * second] += math.comb(k, j) * s ** j
+                poly = _poly_mul(poly, power)
+            total.update(poly)
+    profile: Dict[Profile, int] = {}
+    for packed, coeff in sorted(total.items()):
+        if coeff:
+            key = (packed // unit[0], packed // unit[1] % base, packed // base % base, packed % base)
+            profile[key] = coeff // len(signs)
+    return profile
+
+
+def _poly_mul(p: Dict[int, int], q: Dict[int, int]) -> Dict[int, int]:
+    """Product of polynomials stored as packed monomial -> coefficient."""
+    out: Dict[int, int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)

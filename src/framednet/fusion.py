@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .codes import CodeError, Z4Code
@@ -120,22 +120,21 @@ def _subgroup_elements(sys: PointedSystem, gens: Sequence[Element]) -> List[Elem
     return sorted(seen)
 
 
-def _profile_weight_num(profile_key: Tuple[int, int, int, int]) -> int:
-    # h = (n1 + n3)/8 + n2/2; integral iff n1 + n3 + 4 n2 = 0 mod 8
-    _, n1, n2, n3 = profile_key
-    return (n1 + n3 + 4 * n2) % 8
-
-
 def integer_weight_subgroup(sys: PointedSystem, H) -> bool:
     """True iff h(x) is an integer for every x in the subgroup H.
 
-    H may be a Z4Code inside a Z4-power system (checked exhaustively via
-    the complete weight profile) or an iterable of generator elements.
+    H may be a Z4Code inside a Z4-power system or an iterable of generator
+    elements.  On Z4^d, h(x) = sum x_i^2 / 8 is a quadratic form with polar
+    form sum x_i y_i / 4, so for a Z4Code it vanishes on H iff it vanishes
+    on each generator and the polar form vanishes on each pair of them.
     """
     if isinstance(H, Z4Code):
         if not _is_z4_power(sys) or H.length != sys.ambient_length:
             raise FusionError("Z4 code does not match the ambient system")
-        return all(_profile_weight_num(k) == 0 for k in H.weight_profile())
+        gens = H.generators
+        return all(sum(a * a for a in g) % 8 == 0 for g in gens) and all(
+            sum(a * b for a, b in zip(g, k)) % 4 == 0 for g, k in combinations(gens, 2)
+        )
     elements = _subgroup_elements(sys, [tuple(g) for g in H])
     return all(sys.h(x) == 0 for x in elements)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .codes import BinaryCode, Z4Code, validate_binary_code
+from .codes import BinaryCode, Z4Code, check_lattice_hypotheses
 from .qseries import DEN, QSeries, eta_power, product_form, to_num
 
 HALF = Fraction(1, 2)
@@ -181,8 +181,7 @@ def theta_series(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
     construction is picked out by averaging over a sign character.
     """
     d = code.length
-    report = validate_binary_code(code)
-    wenum = report.weight_enumerator
+    wenum = check_lattice_hypotheses(code).weight_enumerator
     if variant == "L":
         f0 = _coset_sum(Fraction(0), False, bound)
         f1 = _coset_sum(Fraction(1), False, bound)

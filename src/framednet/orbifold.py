@@ -123,7 +123,11 @@ def weight_parity_split(x: NetCharacter) -> Tuple[NetCharacter, NetCharacter]:
 
 def orbifold_vacuum_char(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
     """Vacuum character of the twisted orbifold: (Z1 + Z2)/2 + beta1."""
-    p = orbifold_pieces(code, variant, steps)
+    return vacuum_char_from_pieces(orbifold_pieces(code, variant, steps))
+
+
+def vacuum_char_from_pieces(p: OrbifoldPieces) -> NetCharacter:
+    """The orbifold vacuum character (Z1 + Z2)/2 + beta1 of computed pieces."""
     a_plus, _, b1, _ = fixed_point_sector_chars(p)
     series = a_plus.series + b1.series
     low = series.lowest()

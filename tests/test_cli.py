@@ -81,6 +81,40 @@ class TestChar:
         code, _, _ = run(capsys, "char", "--code", "builtin:h8", "--bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["char", "orbifold-char"])
+    def test_negative_order_exit_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--code", "builtin:h8", "--order", "-2")
+        assert code == 2 and out == ""
+        assert "--order: must be nonnegative" in err
+
+
+class TestCodeHypotheses:
+    """Every route rejects a code outside the paper's hypotheses alike."""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1100\n0011\n", "code is not doubly even"),
+            ("11110000\n", "code does not contain the all-ones vector"),
+        ],
+        ids=["not-doubly-even", "no-all-ones"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["char", "--route", "code"],
+            ["char", "--route", "theta"],
+            ["orbifold-char"],
+        ],
+        ids=["char-code", "char-theta", "orbifold-char"],
+    )
+    def test_rejected_on_every_route(self, capsys, tmp_path, rows, message, argv):
+        path = tmp_path / "c.txt"
+        path.write_text(rows)
+        code, out, err = run(capsys, *argv, "--code", str(path))
+        assert code == 1 and out == ""
+        assert err == f"validation failure: {message}\n"
+
 
 class TestCache:
     def test_miss_then_hit(self, capsys, tmp_path):
@@ -104,6 +138,14 @@ class TestCache:
         # the entry is rewritten and valid again
         json.loads(entry.read_text())
 
+    def test_no_temp_file_left(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        args = ["--cache", str(cache), "orbifold-char", "--code", "builtin:h8", "--order", "3"]
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args)
+        assert code1 == code2 == 0 and out2 == out1
+        assert [p.suffix for p in cache.iterdir()] == [".json"]
+
     def test_env_var_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
         monkeypatch.setenv("FRAMEDNET_CACHE", str(cache))
@@ -123,6 +165,20 @@ class TestOrbifoldChar:
         assert set(doc["sectors"]) == {"untwisted+", "untwisted-", "beta1", "beta2"}
         terms = {n: int(c) for n, c in doc["terms"]}
         assert terms[-DEN // 3 + DEN] == 248
+
+    def test_pieces_computed_once(self, capsys, monkeypatch):
+        from framednet import orbifold
+
+        calls = []
+        real = orbifold.orbifold_pieces
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(orbifold, "orbifold_pieces", counted)
+        code, _, _ = run(capsys, "orbifold-char", "--code", "builtin:h8", "--order", "3")
+        assert code == 0 and len(calls) == 1
 
     def test_unvalidated_rank_warns_in_doc(self, capsys, tmp_path):
         from framednet.codes import builtin_code

@@ -3,6 +3,12 @@ the pairwise Z4 lifting map, and the quotient codes of both lattice
 constructions.
 """
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 import framednet.codes as codes
@@ -217,3 +223,98 @@ class TestZ4Codes:
         ones = sum(k[1] * c for k, c in profile.items())
         threes = sum(k[3] * c for k, c in profile.items())
         assert ones == threes  # negation symmetry exchanges symbols 1 and 3
+
+
+def _enumerated_profile(code):
+    return dict(Counter(
+        (w.count(0), w.count(1), w.count(2), w.count(3)) for w in code.codewords()
+    ))
+
+
+def _numpy_profile(code):
+    """Complete weight profile by a numpy sweep over all codewords.
+
+    Meet in the middle: the {0,1}-sums of the first and of the second half
+    of the basis are added blockwise and the symbol counts binned.
+    """
+    np = pytest.importorskip("numpy")
+    d = code.length
+    m = len(code._basis)
+    rows = np.array(code._basis, dtype=np.uint8).reshape(m, d)
+
+    def binary_sums(part):
+        out = np.zeros((1, d), dtype=np.uint8)
+        for r in part:
+            out = np.concatenate([out, (out + r[None, :]) % 4], axis=0)
+        return out
+
+    low, high = binary_sums(rows[: m // 2]), binary_sums(rows[m // 2:])
+    base = d + 1
+    counts = np.zeros(base ** 3, dtype=np.int64)
+    chunk = max(1, (1 << 22) // max(1, low.shape[0] * d))
+    for i in range(0, high.shape[0], chunk):
+        block = (low[None, :, :] + high[i:i + chunk, None, :]) % 4
+        n1 = (block == 1).sum(axis=2, dtype=np.int64)
+        n2 = (block == 2).sum(axis=2, dtype=np.int64)
+        n3 = (block == 3).sum(axis=2, dtype=np.int64)
+        keys = (n1 + base * n2 + base * base * n3).ravel()
+        counts += np.bincount(keys, minlength=base ** 3)
+    profile = {}
+    for key in np.nonzero(counts)[0]:
+        k = int(key)
+        n1, k = k % base, k // base
+        n2, n3 = k % base, k // base
+        profile[(d - n1 - n2 - n3, n1, n2, n3)] = int(counts[key])
+    assert sum(profile.values()) == len(code)
+    return profile
+
+
+def _h8_pairs_permuted():
+    # coordinate pair i moves to pair position PERM[i]
+    perm = (2, 0, 3, 1)
+    rows = []
+    for g in builtin_code("h8").generators:
+        row = [0] * 8
+        for i, bit in enumerate(g):
+            row[2 * perm[i // 2] + i % 2] = bit
+        rows.append(row)
+    return BinaryCode(8, rows)
+
+
+def _h8_squared():
+    rows = [list(g) + [0] * 8 for g in builtin_code("h8").generators]
+    rows += [[0] * 8 + list(g) for g in builtin_code("h8").generators]
+    return BinaryCode(16, rows)
+
+
+class TestDeltaProfile:
+    """delta_code builds its profile from the binary code's pair types."""
+
+    @pytest.mark.parametrize(
+        "make, variant",
+        [
+            (lambda: builtin_code("h8"), "L"),
+            (_h8_pairs_permuted, "L"),
+            (_h8_pairs_permuted, "Ltilde"),
+            (_h8_squared, "L"),
+            (_h8_squared, "Ltilde"),
+        ],
+        ids=["h8-L", "h8-permuted-L", "h8-permuted-Ltilde", "h8+h8-L", "h8+h8-Ltilde"],
+    )
+    def test_matches_enumeration(self, make, variant):
+        delta = delta_code(make(), variant)
+        assert delta.weight_profile() == _enumerated_profile(delta)
+
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    def test_golay_matches_numpy_oracle(self, variant):
+        delta = builtin_delta("golay24", variant)
+        assert delta.weight_profile() == _numpy_profile(delta)
+
+    def test_import_leaves_numpy_unloaded(self):
+        src = str(Path(codes.__file__).resolve().parents[1])
+        probe = "import sys, framednet.cli; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"

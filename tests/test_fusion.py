@@ -90,6 +90,25 @@ class TestIntegerWeightSubgroup:
         with pytest.raises(FusionError):
             integer_weight_subgroup(z4_power_system(2), Z4Code(3, [(0, 0, 0)]))
 
+    @pytest.mark.parametrize(
+        "gens, expected",
+        [
+            ([(2, 2)], True),
+            ([(1,) * 8, (2, 2, 0, 0, 0, 0, 0, 0)], True),
+            ([(3,) * 8, (1, 1, 1, 1, 3, 3, 3, 3)], True),
+            ([(2, 2, 0, 0, 0, 0, 0, 0), (0, 2, 2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 2, 2, 2, 2)], True),
+            ([(1, 1, 1, 1)], False),
+            ([(2, 2), (2, 0)], False),
+            # each generator has integer weight, but their polar form does not
+            ([(1,) * 8 + (0,) * 8, (0,) * 6 + (1,) * 8 + (0,) * 2], False),
+        ],
+    )
+    def test_generator_check_matches_enumeration(self, gens, expected):
+        H = Z4Code(len(gens[0]), gens)
+        sys_ = z4_power_system(H.length)
+        assert all(sys_.h(w) == 0 for w in H.codewords()) is expected
+        assert integer_weight_subgroup(sys_, H) is expected
+
 
 class TestExtensions:
     def test_golay_ltilde_holomorphic(self):
