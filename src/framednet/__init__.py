@@ -26,6 +26,7 @@ from .fusion import (
     FusionError,
     PointedSystem,
     Zroot2,
+    framed_from_code,
     framed_structure,
     fusion_group_disambiguation,
     integer_weight_subgroup,

@@ -294,12 +294,10 @@ def _cmd_framed(args) -> int:
     if bool(args.decomp) == bool(args.code):
         raise InputError("framed needs exactly one of --decomp or --code")
     if args.decomp:
-        decomp = _parse_decomp_file(args.decomp)
+        fs = fusion.framed_structure(_parse_decomp_file(args.decomp))
     else:
-        code = _load_code(args.code)
-        group = codes.delta_code(code, args.variant)
-        decomp = fusion.ising_decomposition(group)
-    fs = fusion.framed_structure(decomp)
+        group = codes.delta_code(_load_code(args.code), args.variant)
+        fs = fusion.framed_from_code(group)
     doc = {
         "num_ising_factors": fs.num_factors,
         "k": fs.k,
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("framed", help="framed structure (k, l) of a decomposition")
     sp.add_argument("--decomp", help="decomposition file")
-    sp.add_argument("--code", help="derive the decomposition from a binary code")
+    sp.add_argument("--code", help="derive (k, l) from the Z4 code of a binary code")
     sp.add_argument("--variant", choices=("L", "Ltilde"), default="L")
     sp.add_argument("--json")
 

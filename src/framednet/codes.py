@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 Profile = Tuple[int, int, int, int]
@@ -60,6 +60,7 @@ class BinaryCode:
         self.generators: Tuple[Vector, ...] = tuple(
             tuple(r) for r in _rref_f2(gens)
         )
+        self._report: Optional[CodeReport] = None
 
     @property
     def dimension(self) -> int:
@@ -151,17 +152,21 @@ def validate_binary_code(code: BinaryCode) -> CodeReport:
     """Checks of the hypotheses placed on the input code.
 
     The weight enumerator comes from full enumeration when the code is
-    small enough and from the dual code's distribution otherwise.
+    small enough and from the dual code's distribution otherwise.  The
+    report is computed once per code and shared by every later call, so
+    callers must not mutate it.
     """
-    weights = _weight_enumerator(code)
-    doubly_even = all(wt % 4 == 0 for wt in weights)
-    self_dual = code.dimension * 2 == code.length and all(
-        sum(a * b for a, b in zip(g, h)) % 2 == 0
-        for g in code.generators
-        for h in code.generators
-    )
-    all_ones = tuple([1] * code.length) in code
-    return CodeReport(doubly_even, self_dual, all_ones, weights)
+    if code._report is None:
+        weights = _weight_enumerator(code)
+        doubly_even = all(wt % 4 == 0 for wt in weights)
+        self_dual = code.dimension * 2 == code.length and all(
+            sum(a * b for a, b in zip(g, h)) % 2 == 0
+            for g in code.generators
+            for h in code.generators
+        )
+        all_ones = tuple([1] * code.length) in code
+        code._report = CodeReport(doubly_even, self_dual, all_ones, weights)
+    return code._report
 
 
 def check_lattice_hypotheses(code: BinaryCode) -> CodeReport:
@@ -308,6 +313,8 @@ class Z4Code:
         self.generators: Tuple[Vector, ...] = tuple(gens)
         self._basis = self._build_basis()
         self._profile: Dict[Profile, int] | None = None
+        # (binary code, variant) when delta_code built this code
+        self._delta_source: Optional[Tuple[BinaryCode, str]] = None
 
     # -- basis ---------------------------------------------------------
 
@@ -383,11 +390,15 @@ class Z4Code:
     def weight_profile(self) -> Dict[Profile, int]:
         """Counts of codewords by symbol multiplicities (n0, n1, n2, n3).
 
-        delta_code sets the profile from the binary code's pair types;
-        any other code is enumerated here.
+        A code built by delta_code gets its profile from the binary code's
+        pair types; any other code is enumerated here.  Either way the
+        profile is computed on the first call only.
         """
         if self._profile is None:
-            self._profile = self._compute_profile()
+            if self._delta_source is not None:
+                self._profile = _delta_profile(*self._delta_source)
+            else:
+                self._profile = self._compute_profile()
         return self._profile
 
     def _compute_profile(self) -> Dict[Profile, int]:
@@ -451,7 +462,7 @@ def delta_code(code: BinaryCode, variant: str) -> Z4Code:
     expected = len(code) << (d // 2)
     if len(out) != expected:
         raise CodeError(f"delta code cardinality {len(out)} != {expected}")
-    out._profile = _delta_profile(code, variant)
+    out._delta_source = (code, variant)
     return out
 
 

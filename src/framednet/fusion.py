@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .codes import CodeError, Z4Code
+from .codes import CodeError, Z4Code, _rref_f2
 
 Element = Tuple[int, ...]
 HALF = Fraction(1, 2)
@@ -493,19 +493,6 @@ def miyamoto_involution(
     return SignedDecomposition(tuple(entries), all(s == 1 for *_, s in entries))
 
 
-def _f2_rank(rows: Iterable[Tuple[int, ...]]) -> int:
-    basis: List[Tuple[int, ...]] = []
-    for row in rows:
-        r = list(row)
-        for b in basis:
-            p = b.index(1)
-            if r[p]:
-                r = [x ^ y for x, y in zip(r, b)]
-        if any(r):
-            basis.append(tuple(r))
-    return len(basis)
-
-
 @dataclass(frozen=True)
 class FramedStructure:
     num_factors: int
@@ -518,8 +505,8 @@ def framed_structure(decomp: Sequence[Tuple[Label, int]]) -> FramedStructure:
     """The two-step extension data (k, l) of an Ising-labelled decomposition.
 
     k counts the inner labels (no 1/16 entry; each must have multiplicity
-    one) as log2 of their number; l is the F2 rank of the matrix of
-    1/16-incidence patterns.
+    one) as log2 of their number; l is the F2 rank of the 1/16-incidence
+    patterns, and the sign matrix is their reduced row-echelon basis.
     """
     if not decomp:
         raise FusionError("empty decomposition")
@@ -543,8 +530,34 @@ def framed_structure(decomp: Sequence[Tuple[Label, int]]) -> FramedStructure:
     k = inner.bit_length() - 1
     if 1 << k != inner:
         raise FusionError(f"inner label count {inner} is not a power of two")
-    matrix = tuple(sorted(patterns))
-    return FramedStructure(num_factors, k, _f2_rank(matrix), matrix)
+    matrix = tuple(tuple(row) for row in _rref_f2([list(p) for p in patterns]))
+    return FramedStructure(num_factors, k, len(matrix), matrix)
+
+
+def framed_from_code(G: Z4Code) -> FramedStructure:
+    """The framed data (k, l) of the lattice net with quotient code G.
+
+    Equal to framed_structure(ising_decomposition(G)), read off G's
+    two-layer basis without expanding a single label.  Each symbol of a
+    word branches as in ising_decomposition, 0 -> (0,0), (1/2,1/2);
+    2 -> (0,1/2), (1/2,0); 1, 3 -> (1/16,1/16).  So:
+
+    - a label without a 1/16 entry comes from a word of G in 2*Z4^d;
+    - each such word gives 2^d labels, and distinct words give distinct
+      labels, because (0,0) and (1/2,1/2) mark a 0 while (0,1/2) and
+      (1/2,0) mark a 2.  So every inner multiplicity is 1 and
+      k = d + dim(G cap 2*Z4^d), the number of doubled basis rows;
+    - the 1/16 pattern of a label is the doubled mod-2 support of its
+      word, so the patterns are the nonzero words of G mod 2 with each
+      coordinate doubled, and l = dim(G mod 2), the number of unit rows.
+
+    Since log2|G| = l + dim(G cap 2*Z4^d), k + l = d + log2|G|, which is
+    2d (index 1) when |G| = 2^d, as for the delta code of a self-dual code.
+    The sign matrix is the reduced row-echelon basis of the patterns.
+    """
+    basis = _rref_f2([[a % 2 for a in u] for u in G._unit_rows])
+    matrix = tuple(tuple(b for b in row for _ in range(2)) for row in basis)
+    return FramedStructure(2 * G.length, G.length + len(G._two_rows), len(matrix), matrix)
 
 
 _BRANCH_OPTIONS = {

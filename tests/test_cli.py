@@ -180,6 +180,14 @@ class TestOrbifoldChar:
         code, _, _ = run(capsys, "orbifold-char", "--code", "builtin:h8", "--order", "3")
         assert code == 0 and len(calls) == 1
 
+    def test_not_self_dual_exit_1(self, capsys, tmp_path):
+        # doubly even with the all-ones vector, but dimension 1 of 4
+        path = tmp_path / "c.txt"
+        path.write_text("11111111\n")
+        code, out, err = run(capsys, "orbifold-char", "--code", str(path), "--order", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("validation failure: code is not self-dual")
+
     def test_unvalidated_rank_warns_in_doc(self, capsys, tmp_path):
         from framednet.codes import builtin_code
 
@@ -248,6 +256,22 @@ class TestFramed:
         assert (doc["num_ising_factors"], doc["k"], doc["l"]) == (16, 15, 1)
         assert doc["index_check"] == "1"
         assert doc["sign_matrix"] == ["1" * 16]
+
+    def test_h8_ltilde_sign_matrix_is_a_basis(self, capsys):
+        code, out, _ = run(capsys, "framed", "--code", "builtin:h8", "--variant", "Ltilde")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["k"], doc["l"]) == (14, 2)
+        assert doc["sign_matrix"] == ["1100110011001100", "0011001100110011"]
+
+    @pytest.mark.parametrize("variant, kl", [("L", (37, 11)), ("Ltilde", (36, 12))])
+    def test_golay24(self, capsys, variant, kl):
+        code, out, _ = run(capsys, "framed", "--code", "builtin:golay24", "--variant", variant)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["num_ising_factors"], doc["k"], doc["l"]) == (48, *kl)
+        assert doc["index_check"] == "1"
+        assert len(doc["sign_matrix"]) == doc["l"]
 
     def test_from_decomp_file(self, capsys, tmp_path):
         path = tmp_path / "d.txt"

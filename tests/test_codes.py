@@ -47,6 +47,26 @@ class TestBinaryCodes:
         assert report.doubly_even and report.self_dual and report.contains_all_ones
         assert report.weight_enumerator == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
 
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    def test_golay24_certified_once(self, monkeypatch, variant):
+        from framednet import netchar, orbifold
+
+        calls = []
+        real = codes._weight_enumerator
+
+        def counted(code):
+            calls.append(code)
+            return real(code)
+
+        monkeypatch.setattr(codes, "_weight_enumerator", counted)
+        builtin_code.cache_clear()
+        builtin_delta.cache_clear()
+        builtin_delta("golay24", variant)
+        code = builtin_code("golay24")
+        netchar.theta_over_eta(code, variant, 1)
+        orbifold.orbifold_pieces(code, variant, 1)
+        assert len(calls) == 1
+
     def test_non_self_dual_detected(self):
         code = BinaryCode(8, [[1] * 8])
         assert not validate_binary_code(code).self_dual
@@ -309,6 +329,20 @@ class TestDeltaProfile:
     def test_golay_matches_numpy_oracle(self, variant):
         delta = builtin_delta("golay24", variant)
         assert delta.weight_profile() == _numpy_profile(delta)
+
+    def test_profile_computed_on_first_read(self, monkeypatch):
+        calls = []
+        real = codes._delta_profile
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(codes, "_delta_profile", counted)
+        delta = delta_code(builtin_code("h8"), "Ltilde")
+        assert calls == []
+        assert delta.weight_profile() is delta.weight_profile()
+        assert len(calls) == 1
 
     def test_import_leaves_numpy_unloaded(self):
         src = str(Path(codes.__file__).resolve().parents[1])

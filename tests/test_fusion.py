@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from framednet.codes import Z4Code, builtin_delta
+from framednet.codes import BinaryCode, Z4Code, builtin_code, builtin_delta, delta_code
 from framednet.fusion import (
     Census,
     FusionError,
     PointedSystem,
     Zroot2,
+    framed_from_code,
     framed_structure,
     fusion_group_disambiguation,
     integer_weight_subgroup,
@@ -287,6 +288,91 @@ class TestFramedStructure:
         assert decomp[(Fraction(0),) * 16] == 1
         assert decomp[(SIXTEENTH,) * 16] == 128
         assert sum(decomp.values()) == 2 ** 15 + 128
+
+    def test_sign_matrix_is_reduced_basis(self):
+        zero, s = Fraction(0), SIXTEENTH
+        decomp = [
+            ((zero,) * 4, 1),
+            ((s, s, zero, zero), 1),
+            ((zero, zero, s, s), 1),
+            ((s, s, s, s), 1),
+        ]
+        fs = framed_structure(decomp)
+        assert fs.l == 2
+        assert fs.sign_matrix == ((1, 1, 0, 0), (0, 0, 1, 1))
+
+
+def _permuted(code, perm):
+    """The binary code with coordinate i moved to position perm[i]."""
+    rows = []
+    for g in code.generators:
+        row = [0] * code.length
+        for i, bit in enumerate(g):
+            row[perm[i]] = bit
+        rows.append(row)
+    return BinaryCode(code.length, rows)
+
+
+def _h8_squared():
+    h8 = builtin_code("h8")
+    rows = [list(g) + [0] * 8 for g in h8.generators]
+    rows += [[0] * 8 + list(g) for g in h8.generators]
+    return BinaryCode(16, rows)
+
+
+def _span(rows):
+    """Every nonzero vector of the F2 row space of `rows`."""
+    span = {tuple(0 for _ in rows[0])} if rows else set()
+    for r in rows:
+        span |= {tuple(a ^ b for a, b in zip(v, r)) for v in span}
+    return {v for v in span if any(v)}
+
+
+class TestFramedFromCode:
+    """framed_from_code reads (k, l) off the Z4 basis; the label expansion
+    and a codeword count are its oracles."""
+
+    @pytest.mark.parametrize(
+        "perm, variant",
+        [
+            ((0, 1, 2, 3, 4, 5, 6, 7), "L"),
+            ((0, 1, 2, 3, 4, 5, 6, 7), "Ltilde"),
+            ((4, 5, 0, 1, 6, 7, 2, 3), "Ltilde"),  # pairs reordered
+            ((0, 2, 1, 3, 4, 6, 5, 7), "Ltilde"),  # pairs broken up
+        ],
+        ids=["h8-L", "h8-Ltilde", "h8-pairs-permuted-Ltilde", "h8-shuffled-Ltilde"],
+    )
+    def test_matches_label_expansion(self, perm, variant):
+        G = delta_code(_permuted(builtin_code("h8"), perm), variant)
+        decomp = ising_decomposition(G)
+        fs, oracle = framed_from_code(G), framed_structure(decomp)
+        assert (fs.num_factors, fs.k, fs.l) == (oracle.num_factors, oracle.k, oracle.l)
+        assert fs.sign_matrix == oracle.sign_matrix
+        patterns = {
+            tuple(1 if e == SIXTEENTH else 0 for e in label) for label, _ in decomp
+        }
+        assert _span(fs.sign_matrix) == patterns - {(0,) * 16}
+
+    @pytest.mark.parametrize("variant, kl", [("L", (30, 2)), ("Ltilde", (29, 3))])
+    def test_h8_squared_against_codeword_count(self, variant, kl):
+        d = 16
+        G = delta_code(_h8_squared(), variant)
+        fs = framed_from_code(G)
+        assert (fs.num_factors, fs.k, fs.l) == (2 * d, *kl)
+        words = list(G.codewords())
+        assert sum(all(a % 2 == 0 for a in w) for w in words) == 2 ** (fs.k - d)
+        supports = {tuple(a % 2 for a in w) for w in words}
+        assert len(supports) == 2 ** fs.l  # G mod 2 is a group
+        undoubled = [row[::2] for row in fs.sign_matrix]
+        assert all(row[::2] == row[1::2] for row in fs.sign_matrix)
+        assert _span(undoubled) == supports - {(0,) * d}
+
+    @pytest.mark.parametrize("variant, kl", [("L", (37, 11)), ("Ltilde", (36, 12))])
+    def test_golay24(self, variant, kl):
+        fs = framed_from_code(builtin_delta("golay24", variant))
+        assert (fs.num_factors, fs.k, fs.l) == (48, *kl)
+        assert len(fs.sign_matrix) == fs.l
+        assert fs.k + fs.l == fs.num_factors
 
 
 class TestTrivialSystem:
