@@ -41,6 +41,7 @@ from .fusion import (
 from .netchar import (
     NetCharacter,
     emit_branching_graph,
+    frame_char,
     ising_branching_check,
     ising_char,
     lattice_net_char,

@@ -155,8 +155,7 @@ def _char_series(spec: str, variant: str, order: int, route: str, args) -> dict:
         code = _load_code(spec)
         out: Dict[str, dict] = {}
         if route in ("code", "both"):
-            group = codes.delta_code(code, variant)
-            out["code"] = netchar.lattice_net_char(group, order).series.to_json_dict()
+            out["code"] = netchar.frame_char(code, variant, order).series.to_json_dict()
         if route in ("theta", "both"):
             out["theta"] = netchar.theta_over_eta(code, variant, order).series.to_json_dict()
         if route == "both":
@@ -296,8 +295,9 @@ def _cmd_framed(args) -> int:
     if args.decomp:
         fs = fusion.framed_structure(_parse_decomp_file(args.decomp))
     else:
-        group = codes.delta_code(_load_code(args.code), args.variant)
-        fs = fusion.framed_from_code(group)
+        code = _load_code(args.code)
+        codes.check_holomorphic_hypotheses(code)
+        fs = fusion.framed_from_code(codes.delta_code(code, args.variant))
     doc = {
         "num_ising_factors": fs.num_factors,
         "k": fs.k,

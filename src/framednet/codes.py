@@ -185,6 +185,15 @@ def check_lattice_hypotheses(code: BinaryCode) -> CodeReport:
     return report
 
 
+def check_holomorphic_hypotheses(code: BinaryCode) -> CodeReport:
+    """As check_lattice_hypotheses, and the code must be self-dual: the
+    orbifold and the framed structure assume a holomorphic net."""
+    report = check_lattice_hypotheses(code)
+    if not report.self_dual:
+        raise CodeError("code is not self-dual; its lattice nets are not holomorphic")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # code file format
 
@@ -313,8 +322,6 @@ class Z4Code:
         self.generators: Tuple[Vector, ...] = tuple(gens)
         self._basis = self._build_basis()
         self._profile: Dict[Profile, int] | None = None
-        # (binary code, variant) when delta_code built this code
-        self._delta_source: Optional[Tuple[BinaryCode, str]] = None
 
     # -- basis ---------------------------------------------------------
 
@@ -372,9 +379,6 @@ class Z4Code:
                 r = [(a - b) % 4 for a, b in zip(r, u)]
         return not any(r)
 
-    def closed_under_negation(self) -> bool:
-        return all(tuple((-s) % 4 for s in g) in self for g in self.generators)
-
     def codewords(self) -> Iterator[Vector]:
         if len(self) > ENUM_LIMIT:
             raise CodeError("Z4 code too large to enumerate")
@@ -390,21 +394,13 @@ class Z4Code:
     def weight_profile(self) -> Dict[Profile, int]:
         """Counts of codewords by symbol multiplicities (n0, n1, n2, n3).
 
-        A code built by delta_code gets its profile from the binary code's
-        pair types; any other code is enumerated here.  Either way the
-        profile is computed on the first call only.
+        Enumerates every codeword on the first call only.
         """
         if self._profile is None:
-            if self._delta_source is not None:
-                self._profile = _delta_profile(*self._delta_source)
-            else:
-                self._profile = self._compute_profile()
+            self._profile = dict(Counter(
+                (w.count(0), w.count(1), w.count(2), w.count(3)) for w in self.codewords()
+            ))
         return self._profile
-
-    def _compute_profile(self) -> Dict[Profile, int]:
-        return dict(Counter(
-            (w.count(0), w.count(1), w.count(2), w.count(3)) for w in self.codewords()
-        ))
 
     def __repr__(self) -> str:
         return f"Z4Code(length={self.length}, size=2^{len(self._basis)})"
@@ -462,68 +458,33 @@ def delta_code(code: BinaryCode, variant: str) -> Z4Code:
     expected = len(code) << (d // 2)
     if len(out) != expected:
         raise CodeError(f"delta code cardinality {len(out)} != {expected}")
-    out._delta_source = (code, variant)
     return out
 
 
-def _delta_profile(code: BinaryCode, variant: str) -> Dict[Profile, int]:
-    """Complete weight profile of delta_code(code, variant), by pair types.
+def pair_types(code: BinaryCode, variant: str) -> Dict[tuple, int]:
+    """Cosets of delta_code(code, variant) modulo {(00),(22)}^{d/2} counted
+    by their sorted coordinate pairs, each key a sorted ((a, b), multiplicity).
 
-    A coset v + {(00),(22)}^{d/2} has the symbol-count polynomial
-    prod over the pairs (a, b) of v of x_a x_b + x_{a+2} x_{b+2}; for
-    hat_section these are the Ising branching identities 00 -> x0^2 + x2^2,
-    11 -> 2 x0 x2, 10 -> x1^2 + x3^2, 01 -> 2 x1 x3.  So each codeword
-    counts only through its multiset of pairs.  For a doubly-even code
-    hat_section is additive modulo the even-(22)-count subcode, so Ltilde
-    is the union of hat_section(c) and hat_section(c) + glue_vector(d)
-    plus that subcode; averaging over the sign s in x_a x_b + s x_{a+2}
-    x_{b+2} keeps the even (22)-counts.
+    The representatives are hat_section(c) for every codeword c, and for
+    Ltilde also hat_section(c) + glue_vector(d): for a doubly-even code
+    hat_section is additive modulo the even-(22)-count subcode.
     """
+    if variant not in ("L", "Ltilde"):
+        raise CodeError(f"variant must be L or Ltilde, got {variant!r}")
+    check_lattice_hypotheses(code)
     d = code.length
-    base = d + 1  # counts stay below base, so packed monomials never carry
-    unit = (base ** 3, base ** 2, base, 1)
-    shifts = [(0,) * d]
-    signs: Tuple[int, ...] = (1,)
-    if variant == "Ltilde":
-        shifts.append(glue_vector(d))
-        signs = (1, -1)
-    types: Counter = Counter()
+    shifts = [(0,) * d] + ([glue_vector(d)] if variant == "Ltilde" else [])
+    census: Counter = Counter()
     for c in code.codewords():
         v = _hat_section(c)
         for shift in shifts:
             w = [(a + b) % 4 for a, b in zip(v, shift)]
             pairs = Counter(tuple(sorted(p)) for p in zip(w[::2], w[1::2]))
-            types[tuple(sorted(pairs.items()))] += 1
-    total: Counter = Counter()
-    for pairs, count in types.items():
-        for s in signs:
-            poly = {0: count}
-            for (a, b), k in pairs:
-                first = unit[a] + unit[b]
-                second = unit[(a + 2) % 4] + unit[(b + 2) % 4]
-                power: Counter = Counter()
-                for j in range(k + 1):
-                    power[(k - j) * first + j * second] += math.comb(k, j) * s ** j
-                poly = _poly_mul(poly, power)
-            total.update(poly)
-    profile: Dict[Profile, int] = {}
-    for packed, coeff in sorted(total.items()):
-        if coeff:
-            key = (packed // unit[0], packed // unit[1] % base, packed // base % base, packed % base)
-            profile[key] = coeff // len(signs)
-    return profile
-
-
-def _poly_mul(p: Dict[int, int], q: Dict[int, int]) -> Dict[int, int]:
-    """Product of polynomials stored as packed monomial -> coefficient."""
-    out: Dict[int, int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+            census[tuple(sorted(pairs.items()))] += 1
+    return dict(census)
 
 
 @lru_cache(maxsize=None)
 def builtin_delta(name: str, variant: str) -> Z4Code:
-    """Cached delta code of a built-in binary code (profiles are reused)."""
+    """Cached delta code of a built-in binary code."""
     return delta_code(builtin_code(name), variant)

@@ -574,14 +574,12 @@ def ising_decomposition(G: Z4Code) -> List[Tuple[Label, int]]:
     """Decomposition of the lattice net over 2d Ising factors.
 
     Each Z4 symbol branches per the character identities: 0 -> (0,0) and
-    (1/2,1/2); 2 -> (0,1/2) and (1/2,0); 1 and 3 -> (1/16,1/16).
+    (1/2,1/2); 2 -> (0,1/2) and (1/2,0); 1 and 3 -> (1/16,1/16).  So a
+    codeword expands to at most 2^d labels, and codes whose bound
+    exceeds DECOMP_LIMIT are refused before any expansion.
     """
-    total = 0
-    for key, count in G.weight_profile().items():
-        n0, _, n2, _ = key
-        total += count << (n0 + n2)
-        if total > DECOMP_LIMIT:
-            raise FusionError("decomposition too large to expand")
+    if len(G) << G.length > DECOMP_LIMIT:
+        raise FusionError("decomposition too large to expand")
     counts: Dict[Label, int] = {}
     for w in G.codewords():
         for choice in product(*(_BRANCH_OPTIONS[s] for s in w)):

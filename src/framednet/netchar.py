@@ -1,19 +1,24 @@
 """Characters of the building-block nets and of the lattice nets.
 
 Two independent routes to the lattice-net vacuum character are kept side
-by side: the sector-sum over the Z4 code (primary) and the lattice theta
-series divided by eta^d (oracle).  Cross agreement of the two is part of
-the acceptance suite.
+by side: the frame route, a sum over the binary code's Ising-pair types
+(primary), and the lattice theta series divided by eta^d (oracle).
+Cross agreement of the two is part of the acceptance suite.  A third,
+`lattice_net_char`, sums the Z4 code's enumerated weight profile and
+serves the tests as an oracle of the frame route.  All three reduce to
+one kernel, a sum of products of powers of a few series.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .codes import BinaryCode, Z4Code, check_lattice_hypotheses
+from .codes import BinaryCode, Z4Code, check_lattice_hypotheses, pair_types
 from .qseries import DEN, QSeries, eta_power, product_form, to_num
 
 HALF = Fraction(1, 2)
@@ -110,38 +115,83 @@ def ising_branching_check(steps: int = 8) -> bool:
     return ising_branching_mismatch(steps) is None
 
 
-class _U14Powers:
-    """Cache of chi_j^k truncated consistently for a profile sum."""
+def _sum_of_products(
+    enumerator: Mapping[Tuple[int, ...], int], bases: Sequence[QSeries], order: int
+) -> QSeries:
+    """Sum of count * prod_i bases[i]**k_i over the entries (k, count).
 
-    def __init__(self, steps: int, d: int):
-        # each base char carries `steps` q-steps above its own leading term,
-        # so any d-fold product keeps `steps` q-steps above the total leading
-        self.base = [u14_sector_char(j, steps + 1).series for j in range(4)]
-        self.cache: Dict[Tuple[int, int], QSeries] = {}
+    Equal bases are merged first, so each distinct series is raised to each
+    exponent once; an entry raising a zero base to a positive power adds
+    nothing.  Every term must be exact below `order`, where the sum is cut.
+    """
+    distinct: Dict[QSeries, int] = {}
+    slot = [distinct.setdefault(b, len(distinct)) for b in bases]
+    series = list(distinct)
+    merged: Dict[Tuple[int, ...], int] = {}
+    for exponents, count in enumerator.items():
+        ks = [0] * len(series)
+        for i, k in zip(slot, exponents):
+            ks[i] += k
+        if not any(k and series[i].is_zero() for i, k in enumerate(ks)):
+            merged[tuple(ks)] = merged.get(tuple(ks), 0) + count
+    power = lru_cache(maxsize=None)(lambda i, k: series[i] ** k)
+    total = QSeries.zero(order)
+    for ks, count in merged.items():
+        factors = [power(i, k) for i, k in enumerate(ks) if k]
+        term = reduce(operator.mul, factors) if factors else QSeries.one(order)
+        total = total + term.scale(count)
+    return total
 
-    def power(self, j: int, k: int) -> QSeries:
-        key = (j, k)
-        if key not in self.cache:
-            self.cache[key] = self.base[j] ** k
-        return self.cache[key]
+
+def _u14_chars(steps: int) -> List[QSeries]:
+    # chi_0..chi_3, each kept `steps` q-steps above its own leading term, so
+    # any product keeps `steps` q-steps above the product's leading term
+    return [u14_sector_char(j, steps).series for j in range(4)]
+
+
+def frame_char(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
+    """Vacuum character of the lattice net of `code` over its Ising frame (c = d).
+
+    A coset v + {(00),(22)}^{d/2} of the Z4 code contributes the product
+    over the pairs (a, b) of v of chi_a chi_b + chi_{a+2} chi_{b+2}, the
+    branching of the rank-two net into pairs of Ising factors, so each
+    codeword counts only through its pair types (codes.pair_types).
+    Ltilde keeps the even (22)-counts of each coset: the mean over the
+    sign s in chi_a chi_b + s chi_{a+2} chi_{b+2}.
+    """
+    d = code.length
+    census = pair_types(code, variant)
+    chis = _u14_chars(steps)
+    canon = [chis.index(c) for c in chis]  # chi_3 = chi_1 as series
+    product = lru_cache(maxsize=None)(lambda i, j: chis[i] * chis[j])
+
+    def pair(a: int, b: int) -> QSeries:
+        return product(*sorted((canon[a % 4], canon[b % 4])))
+
+    types = sorted({t for key in census for t, _ in key})
+    enumerator = {
+        tuple(dict(key).get(t, 0) for t in types): count for key, count in census.items()
+    }
+    order = _char_order_num(Fraction(-d, 24), steps)
+    total = QSeries.zero(order)
+    for s in ((1, -1) if variant == "Ltilde" else (1,)):
+        bases = [pair(a, b) + pair(a + 2, b + 2).scale(s) for a, b in types]
+        total = total + _sum_of_products(enumerator, bases, order)
+    series = total.half() if variant == "Ltilde" else total
+    _assert_vacuum(series, d)
+    return NetCharacter(series, Fraction(d))
 
 
 def lattice_net_char(group: Z4Code, steps: int = 5) -> NetCharacter:
     """Vacuum character of the simple current extension by `group` (c = d).
 
-    Summed per complete-weight-profile entry:
+    Summed over the complete weight profile, which enumerates `group`:
     sum over profiles of count * chi_0^{n0} chi_1^{n1} chi_2^{n2} chi_3^{n3}.
+    The tests' oracle of frame_char.
     """
     d = group.length
-    powers = _U14Powers(steps, d)
     order = _char_order_num(Fraction(-d, 24), steps)
-    total = QSeries.zero(order)
-    for (n0, n1, n2, n3), count in sorted(group.weight_profile().items()):
-        term = powers.power(0, n0) * powers.power(1, n1)
-        term = term * powers.power(2, n2)
-        term = term * powers.power(3, n3)
-        total = total + term.scale(count)
-    series = QSeries(total.terms, min(total.order, order))
+    series = _sum_of_products(group.weight_profile(), _u14_chars(steps), order)
     _assert_vacuum(series, d)
     return NetCharacter(series, Fraction(d))
 
@@ -182,31 +232,22 @@ def theta_series(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
     """
     d = code.length
     wenum = check_lattice_hypotheses(code).weight_enumerator
-    if variant == "L":
-        f0 = _coset_sum(Fraction(0), False, bound)
-        f1 = _coset_sum(Fraction(1), False, bound)
-        total = QSeries.zero(to_num(bound))
-        for w, count in sorted(wenum.items()):
-            total = total + (f0 ** (d - w) * f1 ** w).scale(count)
-        return QSeries(total.terms, to_num(bound))
-    if variant != "Ltilde":
+    if variant not in ("L", "Ltilde"):
         raise ValueError(f"variant must be L or Ltilde, got {variant!r}")
-    total = QSeries.zero(to_num(bound))
-    # unshifted part: sum of the 2Z-parts constrained to 4Z, via sign average
-    for signed in (False, True):
-        f0 = _coset_sum(Fraction(0), signed, bound)
-        f1 = _coset_sum(Fraction(1), signed, bound)
-        for w, count in sorted(wenum.items()):
-            total = total + (f0 ** (d - w) * f1 ** w).scale(count)
+    enumerator = {(d - w, w): count for w, count in wenum.items()}
+
+    def lattice_sum(residue: Fraction, signed: bool) -> QSeries:
+        bases = [_coset_sum(residue + r, signed, bound) for r in (0, 1)]
+        return _sum_of_products(enumerator, bases, to_num(bound))
+
+    if variant == "L":
+        return lattice_sum(Fraction(0), False)
+    # unshifted part: the 2Z-parts constrained to 4Z, via a sign average;
     # shifted part: coordinates offset by 1/2, constraint parity set by d mod 16
     shift_sign = 1 if d % 16 == 0 else -1
-    for signed in (False, True):
-        g0 = _coset_sum(Fraction(1, 2), signed, bound)
-        g1 = _coset_sum(Fraction(3, 2), signed, bound)
-        s = shift_sign if signed else 1
-        for w, count in sorted(wenum.items()):
-            total = total + (g0 ** (d - w) * g1 ** w).scale(count * s)
-    return QSeries(total.terms, to_num(bound)).half()
+    total = lattice_sum(Fraction(0), False) + lattice_sum(Fraction(0), True)
+    total = total + lattice_sum(HALF, False) + lattice_sum(HALF, True).scale(shift_sign)
+    return total.half()
 
 
 def theta_over_eta(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
@@ -267,14 +308,3 @@ def emit_branching_graph(d: int) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def graph_counts(d: int) -> Dict[str, int]:
-    """Node/edge counts of emit_branching_graph, from the census formulas."""
-    if d == 0:
-        return {"lower": 0, "upper": 0, "soliton": 0, "edges": 0}
-    return {
-        "lower": 4 ** (d - 1) + 4 ** d + 2 ** (d + 1),
-        "upper": 4 ** d,
-        "soliton": 2 ** d,
-        "edges": 2 * 4 ** (d - 1) + 4 ** d + 2 ** (d + 1),
-    }

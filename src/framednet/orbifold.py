@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .codes import BinaryCode, CodeError, check_lattice_hypotheses
+from .codes import BinaryCode, check_holomorphic_hypotheses
 from .netchar import NetCharacter, _char_order_num, theta_over_eta
 from .qseries import DEN, QSeries, product_form, to_num
 
@@ -50,8 +50,7 @@ def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldP
     The construction needs a holomorphic lattice net, so `code` must be
     self-dual as well as pass the lattice hypotheses.
     """
-    if not check_lattice_hypotheses(code).self_dual:
-        raise CodeError("code is not self-dual; the orbifold needs a holomorphic lattice net")
+    check_holomorphic_hypotheses(code)
     d = code.length
     z1 = theta_over_eta(code, variant, steps)
     order = Fraction(_char_order_num(Fraction(-d, 24), steps), DEN)

@@ -153,8 +153,8 @@ class QSeries:
         if k < 0:
             raise ValueError("negative powers are not defined on bare series")
         if k == 0:
-            # exact 1: effectively infinite order so it never truncates a product
-            return QSeries.one(1 << 62)
+            # 1 at this series' relative precision, like every other power
+            return QSeries.one(self.order - self.lowest())
         result = None
         base = self
         while k:

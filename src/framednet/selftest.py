@@ -27,8 +27,7 @@ def _integer_coeffs(ch: netchar.NetCharacter, lo: int, hi: int) -> List[int]:
 def criterion_1_leech_character() -> None:
     """Leech character matches the stated expansion exactly, under 60 s."""
     t0 = time.monotonic()
-    group = codes.builtin_delta("golay24", "Ltilde")
-    ch = netchar.lattice_net_char(group, steps=4)
+    ch = netchar.frame_char(codes.builtin_code("golay24"), "Ltilde", steps=4)
     got = _integer_coeffs(ch, -1, 3)
     elapsed = time.monotonic() - t0
     assert got == LEECH_EXPANSION, f"coefficients {got} != {LEECH_EXPANSION}"
@@ -47,10 +46,10 @@ def criterion_2_moonshine_character() -> None:
 
 
 def criterion_3_two_routes() -> None:
-    """Code-sum and theta routes agree termwise to 5 q-steps, all 4 cases."""
+    """Frame and theta routes agree termwise to 5 q-steps, all 4 cases."""
     for name in ("h8", "golay24"):
         for variant in ("L", "Ltilde"):
-            a = netchar.lattice_net_char(codes.builtin_delta(name, variant), steps=5)
+            a = netchar.frame_char(codes.builtin_code(name), variant, steps=5)
             b = netchar.theta_over_eta(codes.builtin_code(name), variant, steps=5)
             n = a.series.first_difference(b.series)
             assert n is None, (
@@ -61,8 +60,8 @@ def criterion_3_two_routes() -> None:
 
 def criterion_4_e8_coincidences() -> None:
     """Both H8 lattices give the same character; the orbifold reproduces it."""
-    a = netchar.lattice_net_char(codes.builtin_delta("h8", "L"), steps=5)
-    b = netchar.lattice_net_char(codes.builtin_delta("h8", "Ltilde"), steps=5)
+    a = netchar.frame_char(codes.builtin_code("h8"), "L", steps=5)
+    b = netchar.frame_char(codes.builtin_code("h8"), "Ltilde", steps=5)
     assert a.series.agrees_with(b.series), "L and Ltilde characters differ for h8"
     orb = orbifold.orbifold_vacuum_char(codes.builtin_code("h8"), "L", steps=5)
     assert a.series.agrees_with(orb.series), "orbifold differs from untwisted for h8"
@@ -129,7 +128,7 @@ def criterion_9_integrality() -> None:
         code = codes.builtin_code(name)
         d = code.length
         for variant in ("L", "Ltilde"):
-            ch = netchar.lattice_net_char(codes.builtin_delta(name, variant), steps=4)
+            ch = netchar.frame_char(code, variant, steps=4)
             check_int(ch.series, f"{name}/{variant}")
             low = ch.series.lowest()
             assert low * 24 == -d * DEN and ch.series.terms[low] == 1, (

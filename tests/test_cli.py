@@ -105,8 +105,9 @@ class TestCodeHypotheses:
             ["char", "--route", "code"],
             ["char", "--route", "theta"],
             ["orbifold-char"],
+            ["framed"],
         ],
-        ids=["char-code", "char-theta", "orbifold-char"],
+        ids=["char-code", "char-theta", "orbifold-char", "framed"],
     )
     def test_rejected_on_every_route(self, capsys, tmp_path, rows, message, argv):
         path = tmp_path / "c.txt"
@@ -181,12 +182,14 @@ class TestOrbifoldChar:
         assert code == 0 and len(calls) == 1
 
     def test_not_self_dual_exit_1(self, capsys, tmp_path):
-        # doubly even with the all-ones vector, but dimension 1 of 4
+        # doubly even with the all-ones vector, but dimension 1 of 4; the
+        # framed structure needs a holomorphic net as the orbifold does
         path = tmp_path / "c.txt"
         path.write_text("11111111\n")
-        code, out, err = run(capsys, "orbifold-char", "--code", str(path), "--order", "2")
-        assert code == 1 and out == ""
-        assert err.startswith("validation failure: code is not self-dual")
+        for argv in (["orbifold-char", "--order", "2"], ["framed"], ["framed", "--variant", "Ltilde"]):
+            code, out, err = run(capsys, *argv, "--code", str(path))
+            assert code == 1 and out == "", argv
+            assert err.startswith("validation failure: code is not self-dual"), argv
 
     def test_unvalidated_rank_warns_in_doc(self, capsys, tmp_path):
         from framednet.codes import builtin_code

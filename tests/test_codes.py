@@ -6,7 +6,6 @@ constructions.
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,6 +28,7 @@ from framednet.codes import (
     z4_code_from_text,
 )
 from framednet.fusion import z4_dual_code
+from framednet.netchar import frame_char, lattice_net_char, theta_over_eta
 
 
 class TestBinaryCodes:
@@ -187,7 +187,8 @@ class TestDeltaCodes:
     def test_closed_under_negation(self):
         for name in ("h8",):
             for variant in ("L", "Ltilde"):
-                assert builtin_delta(name, variant).closed_under_negation()
+                delta = builtin_delta(name, variant)
+                assert all(tuple((-s) % 4 for s in g) in delta for g in delta.generators)
 
     def test_self_duality_transfer(self):
         # self-dual inputs give self-dual quotient codes
@@ -236,19 +237,6 @@ class TestZ4Codes:
             key = (w.count(0), w.count(1), w.count(2), w.count(3))
             direct[key] = direct.get(key, 0) + 1
         assert code.weight_profile() == direct
-
-    def test_golay_profile_symmetry(self):
-        profile = builtin_delta("golay24", "Ltilde").weight_profile()
-        assert sum(profile.values()) == 2 ** 24
-        ones = sum(k[1] * c for k, c in profile.items())
-        threes = sum(k[3] * c for k, c in profile.items())
-        assert ones == threes  # negation symmetry exchanges symbols 1 and 3
-
-
-def _enumerated_profile(code):
-    return dict(Counter(
-        (w.count(0), w.count(1), w.count(2), w.count(3)) for w in code.codewords()
-    ))
 
 
 def _numpy_profile(code):
@@ -301,48 +289,66 @@ def _h8_pairs_permuted():
     return BinaryCode(8, rows)
 
 
-def _h8_squared():
+def _h8_plus(rows8):
+    """Direct sum of h8 and the length-8 code spanned by `rows8`."""
     rows = [list(g) + [0] * 8 for g in builtin_code("h8").generators]
-    rows += [[0] * 8 + list(g) for g in builtin_code("h8").generators]
+    rows += [[0] * 8 + list(g) for g in rows8]
     return BinaryCode(16, rows)
 
 
+def _h8_squared():
+    return _h8_plus(builtin_code("h8").generators)
+
+
+def _ones8():
+    return BinaryCode(8, [[1] * 8])
+
+
+def _h8_plus_ones8():
+    return _h8_plus([[1] * 8])
+
+
 class TestDeltaProfile:
-    """delta_code builds its profile from the binary code's pair types."""
+    """The frame route's pair-type sum against the character of the delta
+    code's complete weight profile, enumerated word by word, and against
+    the theta route; two of the codes are not self-dual."""
 
     @pytest.mark.parametrize(
         "make, variant",
         [
             (lambda: builtin_code("h8"), "L"),
+            (lambda: builtin_code("h8"), "Ltilde"),
             (_h8_pairs_permuted, "L"),
             (_h8_pairs_permuted, "Ltilde"),
             (_h8_squared, "L"),
             (_h8_squared, "Ltilde"),
+            (_ones8, "L"),
+            (_ones8, "Ltilde"),
+            (_h8_plus_ones8, "L"),
+            (_h8_plus_ones8, "Ltilde"),
         ],
-        ids=["h8-L", "h8-permuted-L", "h8-permuted-Ltilde", "h8+h8-L", "h8+h8-Ltilde"],
+        ids=["h8-L", "h8-Ltilde", "h8-permuted-L", "h8-permuted-Ltilde", "h8+h8-L",
+             "h8+h8-Ltilde", "1^8-L", "1^8-Ltilde", "h8+1^8-L", "h8+1^8-Ltilde"],
     )
     def test_matches_enumeration(self, make, variant):
-        delta = delta_code(make(), variant)
-        assert delta.weight_profile() == _enumerated_profile(delta)
+        code = make()
+        frame = frame_char(code, variant, steps=6).series
+        assert frame == lattice_net_char(delta_code(code, variant), steps=6).series
+        assert frame == theta_over_eta(code, variant, steps=6).series
 
     @pytest.mark.parametrize("variant", ["L", "Ltilde"])
     def test_golay_matches_numpy_oracle(self, variant):
         delta = builtin_delta("golay24", variant)
-        assert delta.weight_profile() == _numpy_profile(delta)
-
-    def test_profile_computed_on_first_read(self, monkeypatch):
-        calls = []
-        real = codes._delta_profile
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(codes, "_delta_profile", counted)
-        delta = delta_code(builtin_code("h8"), "Ltilde")
-        assert calls == []
-        assert delta.weight_profile() is delta.weight_profile()
-        assert len(calls) == 1
+        profile = _numpy_profile(delta)
+        assert sum(profile.values()) == 2 ** 24
+        ones = sum(k[1] * c for k, c in profile.items())
+        threes = sum(k[3] * c for k, c in profile.items())
+        assert ones == threes  # negation symmetry exchanges symbols 1 and 3
+        # seed the memo: lattice_net_char then sums the numpy profile instead
+        # of enumerating 2^24 words in Python
+        delta._profile = profile
+        oracle = lattice_net_char(delta, steps=8).series
+        assert frame_char(builtin_code("golay24"), variant, steps=8).series == oracle
 
     def test_import_leaves_numpy_unloaded(self):
         src = str(Path(codes.__file__).resolve().parents[1])

@@ -8,21 +8,23 @@ theta series.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framednet.codes import builtin_code, builtin_delta
 from framednet.netchar import (
     NetCharacter,
     emit_branching_graph,
-    graph_counts,
+    frame_char,
     ising_branching_check,
     ising_branching_mismatch,
     ising_char,
+    _sum_of_products,
     lattice_net_char,
     theta_over_eta,
     theta_series,
     u14_sector_char,
 )
-from framednet.qseries import DEN
+from framednet.qseries import DEN, QSeries
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -154,7 +156,7 @@ class TestThetaRoutes:
             assert a.series.first_difference(b.series) is None
 
     def test_two_routes_golay_ltilde(self):
-        a = lattice_net_char(builtin_delta("golay24", "Ltilde"), steps=4)
+        a = frame_char(builtin_code("golay24"), "Ltilde", steps=4)
         b = theta_over_eta(builtin_code("golay24"), "Ltilde", steps=4)
         assert a.series.first_difference(b.series) is None
 
@@ -168,6 +170,55 @@ class TestThetaRoutes:
         ch = lattice_net_char(builtin_delta("h8", "L"), steps=4)
         for n in ch.series.terms:
             assert (n + 8 * DEN // 24) % DEN == 0
+
+
+KERNEL_ORDER = 30
+
+
+@st.composite
+def kernel_series(draw):
+    """A series with exponents >= 0 known at least to KERNEL_ORDER, zero
+    one time in four."""
+    order = draw(st.integers(KERNEL_ORDER, 2 * KERNEL_ORDER))
+    if draw(st.integers(0, 3)) == 0:
+        return QSeries.zero(order)
+    terms = draw(st.dictionaries(st.integers(0, order - 1), st.integers(-3, 3), max_size=5))
+    return QSeries(terms, order)
+
+
+class TestSumOfProducts:
+    @settings(deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_naive_sum(self, data):
+        pool = data.draw(st.lists(kernel_series(), min_size=1, max_size=3))
+        # drawn with replacement, so bases repeat
+        bases = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        enumerator = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * len(bases)), st.integers(-4, 4), max_size=5
+        ))
+        naive = {}
+        for exponents, count in enumerator.items():
+            term = QSeries.one(KERNEL_ORDER)
+            for base, k in zip(bases, exponents):
+                if k:
+                    term = term * base ** k
+            for n, c in term.terms.items():
+                if n < KERNEL_ORDER:
+                    naive[n] = naive.get(n, 0) + count * c
+        got = _sum_of_products(enumerator, bases, KERNEL_ORDER)
+        assert got == QSeries(naive, KERNEL_ORDER)
+
+
+def graph_counts(d):
+    """Node/edge counts of emit_branching_graph, from the census formulas."""
+    if d == 0:
+        return {"lower": 0, "upper": 0, "soliton": 0, "edges": 0}
+    return {
+        "lower": 4 ** (d - 1) + 4 ** d + 2 ** (d + 1),
+        "upper": 4 ** d,
+        "soliton": 2 ** d,
+        "edges": 2 * 4 ** (d - 1) + 4 ** d + 2 ** (d + 1),
+    }
 
 
 class TestBranchingGraph:

@@ -9,6 +9,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from framednet.qseries import (
     DEN,
@@ -148,6 +149,24 @@ class TestArithmetic:
         a = QSeries({-DEN: 1, 0: 5}, 2 * DEN)
         p = a ** 0
         assert p.coeff(0) == 1 and (p * a).agrees_with(a)
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.data(), st.integers(0, 5))
+    def test_pow_is_repeated_multiplication(self, data, k):
+        low = data.draw(st.integers(-2 * DEN, 2 * DEN))
+        span = data.draw(st.integers(1, 3 * DEN))
+        lead = data.draw(st.integers(-5, 5).filter(bool))
+        rest = data.draw(st.dictionaries(
+            st.integers(low + 1, low + 2 * span), st.integers(-5, 5), max_size=6
+        ))
+        x = QSeries({**rest, low: lead}, low + span)
+        # the unit at x's relative precision, times x k times
+        expected = QSeries.one(x.order - x.lowest())
+        for _ in range(k):
+            expected = expected * x
+        got = x ** k
+        assert (got.terms, got.order) == (expected.terms, expected.order)
+        assert all(n < got.order for n in got.terms)
 
     def test_coeff_beyond_order_raises(self):
         with pytest.raises(ValueError):
