@@ -3,9 +3,11 @@ the pairwise Z4 lifting map, and the quotient codes of both lattice
 constructions.
 """
 
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from framednet.codes import (
     glue_vector,
     hat_map,
     load_code,
+    pair_types,
     sigma2_code,
     validate_binary_code,
     z4_code_from_text,
@@ -238,6 +241,42 @@ class TestZ4Codes:
             direct[key] = direct.get(key, 0) + 1
         assert code.weight_profile() == direct
 
+    def test_golay_profile_symmetry(self):
+        profile = _pair_type_profile(builtin_code("golay24"), "Ltilde")
+        assert sum(profile.values()) == 2 ** 24
+        ones = sum(k[1] * c for k, c in profile.items())
+        threes = sum(k[3] * c for k, c in profile.items())
+        assert ones == threes  # negation symmetry exchanges symbols 1 and 3
+
+
+def _pair_type_profile(code, variant):
+    """Complete weight profile of delta_code(code, variant), from pair_types.
+
+    A coset v + {(00),(22)}^{d/2} has the symbol-count polynomial
+    prod over the pairs (a, b) of v of x_a x_b + x_{a+2} x_{b+2}.  For
+    Ltilde the signed sum over s = +1, -1 in x_a x_b + s x_{a+2} x_{b+2},
+    halved, keeps the even-(22)-count half of each coset.
+    """
+    signs = (1, -1) if variant == "Ltilde" else (1,)
+    total = Counter()
+    for pairs, count in pair_types(code, variant).items():
+        for s in signs:
+            poly = {(0, 0, 0, 0): count}
+            for (a, b), k in pairs:
+                step = Counter()
+                for j in range(k + 1):
+                    mono = [0, 0, 0, 0]
+                    mono[a] += k - j
+                    mono[b] += k - j
+                    mono[(a + 2) % 4] += j
+                    mono[(b + 2) % 4] += j
+                    coeff = math.comb(k, j) * s ** j
+                    for key, c in poly.items():
+                        step[tuple(x + y for x, y in zip(key, mono))] += c * coeff
+                poly = step
+            total.update(poly)
+    return {key: c // len(signs) for key, c in total.items() if c}
+
 
 def _numpy_profile(code):
     """Complete weight profile by a numpy sweep over all codewords.
@@ -344,6 +383,7 @@ class TestDeltaProfile:
         ones = sum(k[1] * c for k, c in profile.items())
         threes = sum(k[3] * c for k, c in profile.items())
         assert ones == threes  # negation symmetry exchanges symbols 1 and 3
+        assert profile == _pair_type_profile(builtin_code("golay24"), variant)
         # seed the memo: lattice_net_char then sums the numpy profile instead
         # of enumerating 2^24 words in Python
         delta._profile = profile
