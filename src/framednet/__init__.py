@@ -53,9 +53,7 @@ from .orbifold import (
     fixed_point_sector_chars,
     orbifold_pieces,
     orbifold_vacuum_char,
-    pair_distinctness_check,
-    weight_parity_split,
 )
-from .qseries import DEN, GridError, QSeries, eta_power, product_form, scale_exponents
+from .qseries import DEN, GridError, QSeries, eta_power, product_form
 
 __version__ = "0.1.0"

@@ -1,6 +1,12 @@
 """Binary linear codes, the F2 -> Z4 hat map, and the Z4-codes of the
 two lattice constructions.
 
+Each binary code is enumerated once, when it is certified: one Gray-code
+sweep over its words packed as two ints, the bit planes of its even and
+of its odd coordinates, counts the words by the kinds of their
+coordinate pairs.  That count yields both the weight enumerator and the
+pair types of the frame route.
+
 Code files are plain text, one generator per line, symbols 0/1 for binary
 codes and 0-3 for Z4 codes, with ``#`` comments.
 """
@@ -16,6 +22,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 Profile = Tuple[int, int, int, int]
+# binary codewords counted by (n11, n10, n01, last): n_xy pairs of
+# coordinates (2i, 2i+1) read xy, and last = 2x + y for the last pair
+PairProfile = Dict[Tuple[int, int, int, int], int]
 
 ENUM_LIMIT = 1 << 26
 
@@ -97,6 +106,8 @@ class CodeReport:
     self_dual: bool
     contains_all_ones: bool
     weight_enumerator: Dict[int, int]
+    # None when the code was too large to sweep and was certified through its dual
+    pair_profile: Optional[PairProfile]
 
 
 def dual_binary_code(code: BinaryCode) -> BinaryCode:
@@ -123,20 +134,59 @@ def _krawtchouk(n: int, j: int, i: int) -> int:
     )
 
 
-def _weight_enumerator(code: BinaryCode) -> Dict[int, int]:
-    """Weight distribution; via the dual transform when C is too large."""
+def _pair_profile(code: BinaryCode) -> PairProfile:
+    """Every codeword counted by the kinds of its coordinate pairs.
+
+    Generator g is packed as two ints, its even coordinates g[0::2] and
+    its odd coordinates g[1::2] with bit i for pair i; an odd length
+    leaves its lone last coordinate in the even plane.  Walking the 2^k
+    words in Gray-code order changes one generator per step, so each word
+    costs two XORs and three popcounts.
+    """
+    if 1 << code.dimension > ENUM_LIMIT:
+        raise CodeError("code too large to enumerate")
+    evens = [sum(b << i for i, b in enumerate(g[0::2])) for g in code.generators]
+    odds = [sum(b << i for i, b in enumerate(g[1::2])) for g in code.generators]
+    top = (code.length - 1) // 2
+    counts = {(0, 0, 0, 0): 1}
+    get = counts.get
+    e = o = 0
+    for i in range(1, 1 << code.dimension):
+        j = (i & -i).bit_length() - 1  # the generator Gray code step i flips
+        e ^= evens[j]
+        o ^= odds[j]
+        both = e & o
+        key = (
+            both.bit_count(),
+            (e ^ both).bit_count(),
+            (o ^ both).bit_count(),
+            (e >> top & 1) << 1 | o >> top & 1,
+        )
+        counts[key] = get(key, 0) + 1
+    return counts
+
+
+def _profile_weights(profile: PairProfile) -> Dict[int, int]:
+    weights: Counter = Counter()
+    for (n11, n10, n01, _), count in profile.items():
+        weights[2 * n11 + n10 + n01] += count
+    return dict(weights)
+
+
+def _weight_enumerator(code: BinaryCode) -> Tuple[Dict[int, int], Optional[PairProfile]]:
+    """Weight distribution and pair profile of one sweep over C.
+
+    When C is too large, the weights come from sweeping the dual code and
+    the MacWilliams transform, and the profile is None.
+    """
     if 1 << code.dimension <= ENUM_LIMIT:
-        weights: Counter = Counter()
-        for w in code.codewords():
-            weights[sum(w)] += 1
-        return dict(weights)
+        profile = _pair_profile(code)
+        return _profile_weights(profile), profile
     dual = dual_binary_code(code)
     if 1 << dual.dimension > ENUM_LIMIT:
         raise CodeError("code and dual both too large to enumerate")
     n = code.length
-    b: Counter = Counter()
-    for w in dual.codewords():
-        b[sum(w)] += 1
+    b = _profile_weights(_pair_profile(dual))
     out: Dict[int, int] = {}
     for j in range(n + 1):
         total = sum(count * _krawtchouk(n, j, i) for i, count in b.items())
@@ -145,19 +195,19 @@ def _weight_enumerator(code: BinaryCode) -> Dict[int, int]:
             raise CodeError("dual weight transform did not clear denominators")
         if a_j:
             out[j] = a_j
-    return out
+    return out, None
 
 
 def validate_binary_code(code: BinaryCode) -> CodeReport:
     """Checks of the hypotheses placed on the input code.
 
-    The weight enumerator comes from full enumeration when the code is
-    small enough and from the dual code's distribution otherwise.  The
-    report is computed once per code and shared by every later call, so
-    callers must not mutate it.
+    The weight enumerator and pair profile come from one sweep over the
+    code when it is small enough, and the weights from the dual code's
+    sweep otherwise.  The report is computed once per code and shared by
+    every later call, so callers must not mutate it.
     """
     if code._report is None:
-        weights = _weight_enumerator(code)
+        weights, profile = _weight_enumerator(code)
         doubly_even = all(wt % 4 == 0 for wt in weights)
         self_dual = code.dimension * 2 == code.length and all(
             sum(a * b for a, b in zip(g, h)) % 2 == 0
@@ -165,7 +215,7 @@ def validate_binary_code(code: BinaryCode) -> CodeReport:
             for h in code.generators
         )
         all_ones = tuple([1] * code.length) in code
-        code._report = CodeReport(doubly_even, self_dual, all_ones, weights)
+        code._report = CodeReport(doubly_even, self_dual, all_ones, weights, profile)
     return code._report
 
 
@@ -461,26 +511,43 @@ def delta_code(code: BinaryCode, variant: str) -> Z4Code:
     return out
 
 
+def _shifted_type(bits: Tuple[int, int], shift: Sequence[int]) -> Tuple[int, int]:
+    """Sorted pair of hat_section(bits) + shift."""
+    a, b = _HAT_SECTION[bits]
+    return tuple(sorted(((a + shift[0]) % 4, (b + shift[1]) % 4)))
+
+
 def pair_types(code: BinaryCode, variant: str) -> Dict[tuple, int]:
     """Cosets of delta_code(code, variant) modulo {(00),(22)}^{d/2} counted
     by their sorted coordinate pairs, each key a sorted ((a, b), multiplicity).
 
     The representatives are hat_section(c) for every codeword c, and for
     Ltilde also hat_section(c) + glue_vector(d): for a doubly-even code
-    hat_section is additive modulo the even-(22)-count subcode.
+    hat_section is additive modulo the even-(22)-count subcode.  Both are
+    read off the certification's pair profile: a pair xy of c shifted by
+    the glue's pair s becomes _shifted_type(xy, s), and the glue's last
+    pair differs from the others when d % 16 == 8.
     """
     if variant not in ("L", "Ltilde"):
         raise CodeError(f"variant must be L or Ltilde, got {variant!r}")
-    check_lattice_hypotheses(code)
+    profile = check_lattice_hypotheses(code).pair_profile
+    if profile is None:
+        raise CodeError("code too large to enumerate")
     d = code.length
-    shifts = [(0,) * d] + ([glue_vector(d)] if variant == "Ltilde" else [])
+    glue = glue_vector(d)
+    shifts = [((0, 0), (0, 0))] + ([(glue[:2], glue[-2:])] if variant == "Ltilde" else [])
     census: Counter = Counter()
-    for c in code.codewords():
-        v = _hat_section(c)
-        for shift in shifts:
-            w = [(a + b) % 4 for a, b in zip(v, shift)]
-            pairs = Counter(tuple(sorted(p)) for p in zip(w[::2], w[1::2]))
-            census[tuple(sorted(pairs.items()))] += 1
+    for shift, last_shift in shifts:
+        types = {bits: _shifted_type(bits, shift) for bits in _HAT_SECTION}
+        last_types = {bits: _shifted_type(bits, last_shift) for bits in _HAT_SECTION}
+        for (n11, n10, n01, last), count in profile.items():
+            last_bits = divmod(last, 2)
+            kinds = {(0, 0): d // 2 - n11 - n10 - n01, (1, 1): n11, (1, 0): n10, (0, 1): n01}
+            kinds[last_bits] -= 1  # the last pair is shifted apart
+            pairs: Counter = Counter({last_types[last_bits]: 1})
+            for bits, k in kinds.items():
+                pairs[types[bits]] += k
+            census[tuple(sorted((t, k) for t, k in pairs.items() if k))] += count
     return dict(census)
 
 

@@ -106,25 +106,6 @@ def fixed_point_sector_chars(
     )
 
 
-def weight_parity_split(x: NetCharacter) -> Tuple[NetCharacter, NetCharacter]:
-    """Split by weight parity: integer-weight part, half-integer part.
-
-    Weights are exponents shifted by c/24; all must be half-integers.
-    """
-    shift = to_num(x.central_charge / 24)
-    integer = {}
-    half = {}
-    for n, coeff in x.series.terms.items():
-        w = n + shift
-        if w % (DEN // 2) != 0:
-            raise ValueError(f"weight {Fraction(w, DEN)} off the half-integer grid")
-        (integer if w % DEN == 0 else half)[n] = coeff
-    return (
-        NetCharacter(QSeries(integer, x.series.order), x.central_charge),
-        NetCharacter(QSeries(half, x.series.order), x.central_charge),
-    )
-
-
 def orbifold_vacuum_char(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
     """Vacuum character of the twisted orbifold: (Z1 + Z2)/2 + beta1."""
     return vacuum_char_from_pieces(orbifold_pieces(code, variant, steps))
@@ -138,24 +119,3 @@ def vacuum_char_from_pieces(p: OrbifoldPieces) -> NetCharacter:
     if low != to_num(Fraction(-p.d, 24)) or series.terms[low] != 1:
         raise AssertionError("orbifold vacuum normalization failed")
     return NetCharacter(series, Fraction(p.d))
-
-
-@dataclass(frozen=True)
-class DistinctnessReport:
-    identical: bool
-    first_exponent_num: int | None
-    untwisted_coeff: int | None
-    orbifold_coeff: int | None
-
-
-def pair_distinctness_check(
-    code: BinaryCode, variant: str, steps: int = 5
-) -> DistinctnessReport:
-    """Compare the lattice-net and orbifold vacuum characters termwise."""
-    a = theta_over_eta(code, variant, steps)
-    b = orbifold_vacuum_char(code, variant, steps)
-    n = a.series.first_difference(b.series)
-    if n is None:
-        return DistinctnessReport(True, None, None, None)
-    e = Fraction(n, DEN)
-    return DistinctnessReport(False, n, a.coeff(e), b.coeff(e))

@@ -242,21 +242,3 @@ def eta_power(k: int, order: ExpLike) -> QSeries:
     shift_num = k * (DEN // 24)
     inner = product_form("1-q^n", k, Fraction(order_num - shift_num, DEN))
     return inner.shift(Fraction(shift_num, DEN))
-
-
-def scale_exponents(a: QSeries, factor: ExpLike) -> QSeries:
-    """Substitute q -> q^factor; every scaled exponent must stay on the grid."""
-    f = Fraction(factor)
-    if f not in (Fraction(1, 2), Fraction(2)):
-        raise ValueError(f"unsupported scale factor {f}")
-    terms = {}
-    for n, c in a.terms.items():
-        m = Fraction(n) * f
-        if m.denominator != 1:
-            raise GridError(f"exponent {Fraction(n, DEN)} leaves the grid under q -> q^{f}")
-        terms[int(m)] = c
-    order = Fraction(a.order) * f
-    if order.denominator != 1:
-        # tighten to the nearest representable bound
-        order = Fraction(int(order))
-    return QSeries(terms, int(order))

