@@ -2,22 +2,19 @@
 content-addressed on-disk result cache.
 
 Exit codes: 0 success, 1 domain validation failure, 2 input/usage error.
+
+Only stdlib modules are imported here. Each subcommand imports the
+framednet modules it runs, so a short-lived process that answers from
+the cache, or runs a command that needs no series, loads no more.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
-
-from . import codes, fusion, netchar, orbifold
-from .codes import CodeError
-from .fusion import FusionError
-from .qseries import DEN, GridError, QSeries
+from typing import Dict, List, Optional
 
 CACHE_ENV = "FRAMEDNET_CACHE"
 
@@ -30,17 +27,27 @@ class InputError(Exception):
 # helpers
 
 
-def _load_code(spec: str) -> codes.BinaryCode:
+def _check_code_file(spec: str) -> None:
     if not spec.startswith("builtin:") and not os.path.exists(spec):
         raise InputError(f"code file not found: {spec}")
+
+
+def _load_code(spec: str):
+    """The `codes.BinaryCode` named by a builtin:<name> spec or a file path."""
+    from .codes import load_code
+
+    _check_code_file(spec)
     try:
-        return codes.load_code(spec)
+        return load_code(spec)
     except OSError as e:
         raise InputError(str(e))
 
 
 def _code_identity(spec: str) -> str:
     """Stable content hash of the code input for cache keys."""
+    import hashlib
+
+    _check_code_file(spec)
     if spec.startswith("builtin:"):
         payload = spec.encode()
     else:
@@ -73,11 +80,15 @@ def _cache_dir(args) -> Optional[str]:
     return getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
 
 
-def _cached(args, key_doc: dict, compute) -> dict:
-    """Content-addressed cache: key is the hash of the request manifest."""
+def _cached(args, spec: str, request: dict, compute) -> dict:
+    """Content-addressed cache: key is the hash of the request manifest,
+    which names the code by the hash of its content."""
     cache = _cache_dir(args)
     if not cache:
         return compute()
+    import hashlib
+
+    key_doc = {**request, "code": _code_identity(spec)}
     key = hashlib.sha256(
         json.dumps(key_doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -116,7 +127,9 @@ def _order(text: str) -> int:
     return n
 
 
-def _parse_fraction(s: str) -> Fraction:
+def _parse_fraction(s: str):
+    from fractions import Fraction
+
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
@@ -128,8 +141,10 @@ def _parse_fraction(s: str) -> Fraction:
 
 
 def _cmd_validate_code(args) -> int:
+    from .codes import validate_binary_code
+
     code = _load_code(args.code)
-    report = codes.validate_binary_code(code)
+    report = validate_binary_code(code)
     doc = {
         "length": code.length,
         "dimension": code.dimension,
@@ -143,15 +158,12 @@ def _cmd_validate_code(args) -> int:
 
 
 def _char_series(spec: str, variant: str, order: int, route: str, args) -> dict:
-    key = {
-        "command": "char",
-        "code": _code_identity(spec),
-        "variant": variant,
-        "order": order,
-        "route": route,
-    }
+    request = {"command": "char", "variant": variant, "order": order, "route": route}
 
     def compute() -> dict:
+        from . import netchar
+        from .qseries import QSeries
+
         code = _load_code(spec)
         out: Dict[str, dict] = {}
         if route in ("code", "both"):
@@ -164,7 +176,7 @@ def _char_series(spec: str, variant: str, order: int, route: str, args) -> dict:
             return {"routes": out, "agree": a.agrees_with(b)}
         return next(iter(out.values()))
 
-    return _cached(args, key, compute)
+    return _cached(args, spec, request, compute)
 
 
 def _cmd_char(args) -> int:
@@ -178,15 +190,16 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_orbifold_char(args) -> int:
-    key = {
+    request = {
         "command": "orbifold-char",
-        "code": _code_identity(args.code),
         "variant": args.variant,
         "order": args.order,
         "pieces": bool(args.pieces),
     }
 
     def compute() -> dict:
+        from . import orbifold
+
         code = _load_code(args.code)
         p = orbifold.orbifold_pieces(code, args.variant, args.order)
         ch = orbifold.vacuum_char_from_pieces(p)
@@ -207,7 +220,7 @@ def _cmd_orbifold_char(args) -> int:
             }
         return doc
 
-    doc = _cached(args, key, compute)
+    doc = _cached(args, args.code, request, compute)
     _emit(doc, args.json)
     if args.csv:
         _emit_csv(doc, args.csv)
@@ -215,6 +228,8 @@ def _cmd_orbifold_char(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    from . import codes, fusion
+
     if not args.system.startswith("z4pow:"):
         raise InputError(f"unknown system {args.system!r} (expected z4pow:<d>)")
     try:
@@ -249,6 +264,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import fusion
+
     c = fusion.orbifold_census(args.d)
     doc = {
         "d": c.d,
@@ -264,9 +281,12 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _parse_decomp_file(path: str) -> List[Tuple[Tuple[Fraction, ...], int]]:
+def _parse_decomp_file(path: str) -> list:
     """One label per line: comma-separated weights from {0,1/2,1/16},
-    optionally followed by whitespace and a multiplicity (default 1)."""
+    optionally followed by whitespace and a multiplicity (default 1).
+    Returns (label, multiplicity) pairs, each label a tuple of Fractions."""
+    from .fusion import ISING_LABELS
+
     if not os.path.exists(path):
         raise InputError(f"decomposition file not found: {path}")
     decomp = []
@@ -277,7 +297,7 @@ def _parse_decomp_file(path: str) -> List[Tuple[Tuple[Fraction, ...], int]]:
                 continue
             parts = line.split()
             label = tuple(_parse_fraction(t) for t in parts[0].split(","))
-            if any(e not in fusion.ISING_LABELS for e in label):
+            if any(e not in ISING_LABELS for e in label):
                 raise InputError(f"bad label entry in {line!r}")
             try:
                 mult = int(parts[1]) if len(parts) > 1 else 1
@@ -290,6 +310,10 @@ def _parse_decomp_file(path: str) -> List[Tuple[Tuple[Fraction, ...], int]]:
 
 
 def _cmd_framed(args) -> int:
+    from fractions import Fraction
+
+    from . import codes, fusion
+
     if bool(args.decomp) == bool(args.code):
         raise InputError("framed needs exactly one of --decomp or --code")
     if args.decomp:
@@ -312,7 +336,9 @@ def _cmd_framed(args) -> int:
 
 
 def _cmd_emit_graph(args) -> int:
-    text = netchar.emit_branching_graph(args.d)
+    from .netchar import emit_branching_graph
+
+    text = emit_branching_graph(args.d)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -410,7 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CodeError, FusionError, GridError, ValueError, AssertionError) as e:
+    except (ValueError, AssertionError) as e:  # CodeError, FusionError and GridError too
         print(f"validation failure: {e}", file=sys.stderr)
         return 1
 

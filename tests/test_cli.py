@@ -81,6 +81,16 @@ class TestChar:
         code, _, _ = run(capsys, "char", "--code", "builtin:h8", "--bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("command", ["char", "orbifold-char"])
+    def test_missing_code_file_exit_2(self, capsys, tmp_path, command, cached):
+        missing = tmp_path / "missing.txt"
+        cache = ["--cache", str(tmp_path / "cache")] if cached else []
+        code, out, err = run(capsys, *cache, command, "--code", str(missing))
+        assert code == 2 and out == ""
+        assert err == f"error: code file not found: {missing}\n"
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize("command", ["char", "orbifold-char"])
     def test_negative_order_exit_2(self, capsys, command):
         code, out, err = run(capsys, command, "--code", "builtin:h8", "--order", "-2")

@@ -448,6 +448,57 @@ class TestDeltaProfile:
         )
         assert out.stdout.strip() == "False"
 
+    @staticmethod
+    def _framednet_modules_after(script):
+        """framednet modules loaded by a fresh interpreter that runs script.
+
+        Only framednet's own modules are compared: what `site` imports
+        differs from one interpreter to the next."""
+        src = str(Path(codes.__file__).resolve().parents[1])
+        probe = (
+            "import contextlib, io, sys\n" + script + "\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'framednet')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        return set(out.stdout.split())
+
+    @staticmethod
+    def _cli_script(*argv):
+        return (
+            "import framednet.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({list(argv)!r}) == 0\n"
+        )
+
+    @pytest.mark.parametrize("script", ["import framednet", "import framednet.cli"])
+    def test_import_loads_no_math_module(self, script):
+        assert self._framednet_modules_after(script) <= {"framednet", "framednet.cli"}
+
+    @pytest.mark.parametrize("command", ["char", "orbifold-char"])
+    def test_cache_hit_loads_only_the_cli(self, tmp_path, command):
+        from framednet.cli import main
+
+        argv = ["--cache", str(tmp_path), command, "--code", "builtin:h8", "--order", "2"]
+        assert main(argv) == 0  # the miss that writes the entry
+        loaded = self._framednet_modules_after(self._cli_script(*argv))
+        assert loaded == {"framednet", "framednet.cli"}
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            (["framed", "--code", "builtin:h8"], {"netchar", "orbifold", "qseries"}),
+            (["char", "--route", "code", "--code", "builtin:h8"], {"fusion", "orbifold"}),
+        ],
+        ids=["framed", "char-code"],
+    )
+    def test_command_loads_only_what_it_runs(self, argv, unloaded):
+        loaded = self._framednet_modules_after(self._cli_script(*argv))
+        assert "framednet.cli" in loaded
+        assert not loaded & {f"framednet.{m}" for m in unloaded}
+
 
 def _enumerated_pair_types(code, variant):
     """pair_types by listing every codeword: the tuple loop the sweep replaced."""

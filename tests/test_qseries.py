@@ -167,6 +167,47 @@ class TestArithmetic:
         assert (got.terms, got.order) == (expected.terms, expected.order)
         assert all(n < got.order for n in got.terms)
 
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.data())
+    def test_mul_and_shift_match_a_double_loop(self, data):
+        # each factor on its own grid (q^(1/48) .. q^1), from a negative
+        # lowest exponent, with coefficients far beyond machine words
+        def draw_series():
+            step = data.draw(st.sampled_from([1, 3, 16, 24, DEN]))
+            low = data.draw(st.integers(-3 * DEN, DEN))
+            terms = data.draw(st.dictionaries(
+                st.integers(0, 8).map(lambda k: low + k * step),
+                st.integers(-(1 << 200), 1 << 200),
+                max_size=8,
+            ))
+            return QSeries(terms, data.draw(st.integers(low - DEN, low + 4 * DEN)))
+
+        a, b = draw_series(), draw_series()
+        order = min(a.order + b.lowest(), b.order + a.lowest())
+        full = {}
+        for n1, c1 in a.terms.items():
+            for n2, c2 in b.terms.items():
+                full[n1 + n2] = full.get(n1 + n2, 0) + c1 * c2
+        got = a * b
+        assert got.order == order
+        assert got.terms == {n: c for n, c in full.items() if n < order and c}
+
+        # what lies at or beyond a factor's order is unknown: any tail
+        # there leaves the product below its order unchanged
+        def with_tail(x):
+            tail = data.draw(st.dictionaries(
+                st.integers(x.order, x.order + 2 * DEN), st.integers(-99, 99), max_size=4
+            ))
+            return QSeries({**tail, **x.terms}, x.order + 3 * DEN)
+
+        assert (with_tail(a) * with_tail(b)).truncate(order) == got
+
+        s = data.draw(st.integers(-2 * DEN, 2 * DEN))
+        moved = a.shift(Fraction(s, DEN))
+        assert moved.order == a.order + s
+        assert moved.terms == {n + s: c for n, c in a.terms.items()}
+        assert moved * b == (a * b).shift(Fraction(s, DEN))
+
     def test_coeff_beyond_order_raises(self):
         with pytest.raises(ValueError):
             QSeries.one(DEN).coeff(2)
