@@ -1,7 +1,9 @@
 """Command-line interface: deterministic JSON/CSV/DOT emission and a
 content-addressed on-disk result cache.
 
-Exit codes: 0 success, 1 domain validation failure, 2 input/usage error.
+Exit codes: 0 success, 1 domain validation failure (a code outside the
+paper's hypotheses, a subgroup without integer weights), 2 input/usage
+error (a missing, unreadable or malformed file, an unknown builtin name).
 
 Only stdlib modules are imported here. Each subcommand imports the
 framednet modules it runs, so a short-lived process that answers from
@@ -33,13 +35,17 @@ def _check_code_file(spec: str) -> None:
 
 
 def _load_code(spec: str):
-    """The `codes.BinaryCode` named by a builtin:<name> spec or a file path."""
-    from .codes import load_code
+    """The `codes.BinaryCode` named by a builtin:<name> spec or a file path.
+
+    A file that cannot be read or parsed, or an unknown builtin name, is
+    bad input; the code hypotheses are checked by the commands.
+    """
+    from .codes import CodeError, load_code
 
     _check_code_file(spec)
     try:
         return load_code(spec)
-    except OSError as e:
+    except (OSError, CodeError) as e:
         raise InputError(str(e))
 
 
@@ -238,14 +244,16 @@ def _cmd_extend(args) -> int:
         raise InputError(f"bad system dimension in {args.system!r}")
     sys_ = fusion.z4_power_system(d)
     sub = args.subgroup
-    if sub.startswith("builtin:"):
-        name = sub.split(":", 1)[1]
-        H = codes.builtin_delta(name, args.variant)
-    else:
-        if not os.path.exists(sub):
-            raise InputError(f"subgroup file not found: {sub}")
-        with open(sub) as fh:
-            H = codes.z4_code_from_text(fh.read())
+    if not sub.startswith("builtin:") and not os.path.exists(sub):
+        raise InputError(f"subgroup file not found: {sub}")
+    try:
+        if sub.startswith("builtin:"):
+            H = codes.builtin_delta(sub.split(":", 1)[1], args.variant)
+        else:
+            with open(sub) as fh:
+                H = codes.z4_code_from_text(fh.read())
+    except (OSError, codes.CodeError) as e:
+        raise InputError(str(e))
     if H.length != d:
         raise InputError(f"subgroup length {H.length} != system dimension {d}")
     result = fusion.simple_current_extension(sys_, H)
@@ -253,7 +261,7 @@ def _cmd_extend(args) -> int:
         "allowed": result.allowed,
         "mu_before": str(result.mu_before),
         "mu_after": str(result.mu_after),
-        "subgroup_size": len(H),
+        "subgroup_size": 1 << H.log2_size,
         "quotient_orders": list(result.quotient_system.orders)
         if result.quotient_system is not None
         else None,

@@ -412,8 +412,13 @@ class Z4Code:
         self._two_pivots = two_pivots
         return basis
 
+    @property
+    def log2_size(self) -> int:
+        """The number of basis rows; the code has 2^log2_size words."""
+        return len(self._basis)
+
     def __len__(self) -> int:
-        return 1 << len(self._basis)
+        return 1 << self.log2_size
 
     def __contains__(self, v: Sequence[int]) -> bool:
         r = [int(s) % 4 for s in v]
@@ -453,7 +458,7 @@ class Z4Code:
         return self._profile
 
     def __repr__(self) -> str:
-        return f"Z4Code(length={self.length}, size=2^{len(self._basis)})"
+        return f"Z4Code(length={self.length}, size=2^{self.log2_size})"
 
 
 def z4_code_from_text(text: str) -> Z4Code:

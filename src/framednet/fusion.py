@@ -6,6 +6,11 @@ current extension admissibility, mu-index arithmetic, the orbifold
 sector census (with exact statistical dimensions in Z[sqrt(2)]), the
 order-2 sign involutions on Ising-labelled decompositions, and the
 two-step framed-structure data (k, l).
+
+The extension of Z4^d by a Z4 code H is pure linear algebra over Z4: the
+weight check reads H's generators and their pairs, the surviving sectors
+H-perp / H are presented as Z4^a x Z2^b from two dual codes, and every
+size is 2^(number of basis rows).  No codeword of H or H-perp is listed.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .codes import CodeError, Z4Code, _rref_f2
+from .codes import Z4Code, _rref_f2
 
 Element = Tuple[int, ...]
 HALF = Fraction(1, 2)
@@ -25,7 +30,6 @@ SIXTEENTH = Fraction(1, 16)
 U14_WEIGHT_TABLE = (Fraction(0), Fraction(1, 8), HALF, Fraction(1, 8))
 
 GROUP_ENUM_LIMIT = 1 << 20
-QUOTIENT_LIMIT = 1 << 12
 
 
 class FusionError(ValueError):
@@ -103,50 +107,29 @@ def _is_z4_power(sys: PointedSystem) -> bool:
     return sys.ambient_length is not None and sys.orders == (4,) * sys.ambient_length
 
 
-def _subgroup_elements(sys: PointedSystem, gens: Sequence[Element]) -> List[Element]:
-    seen = {sys.identity()}
-    frontier = [sys.identity()]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = sys.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > GROUP_ENUM_LIMIT:
-                        raise FusionError("subgroup too large to enumerate")
-        frontier = nxt
-    return sorted(seen)
+def _non_integral_element(sys: PointedSystem, H: Z4Code) -> Optional[Element]:
+    """An element of H whose weight is not an integer, or None if there is none.
 
-
-def integer_weight_subgroup(sys: PointedSystem, H) -> bool:
-    """True iff h(x) is an integer for every x in the subgroup H.
-
-    H may be a Z4Code inside a Z4-power system or an iterable of generator
-    elements.  On Z4^d, h(x) = sum x_i^2 / 8 is a quadratic form with polar
-    form sum x_i y_i / 4, so for a Z4Code it vanishes on H iff it vanishes
-    on each generator and the polar form vanishes on each pair of them.
+    On Z4^d, h(x) = sum x_i^2 / 8 is a quadratic form with polar form
+    sum x_i y_i / 4, so it vanishes on H iff it vanishes on each generator
+    and the polar form vanishes on each pair of them.  For a pair (g, k)
+    of integral generators with b(g, k) != 0, g + k is the element.
     """
-    if isinstance(H, Z4Code):
-        if not _is_z4_power(sys) or H.length != sys.ambient_length:
-            raise FusionError("Z4 code does not match the ambient system")
-        gens = H.generators
-        return all(sum(a * a for a in g) % 8 == 0 for g in gens) and all(
-            sum(a * b for a, b in zip(g, k)) % 4 == 0 for g, k in combinations(gens, 2)
-        )
-    elements = _subgroup_elements(sys, [tuple(g) for g in H])
-    return all(sys.h(x) == 0 for x in elements)
-
-
-def _offending_element(sys: PointedSystem, H: Z4Code) -> Optional[Element]:
-    for g in H.generators:
-        if sys.h(g) != 0:
+    if not _is_z4_power(sys) or H.length != sys.ambient_length:
+        raise FusionError("Z4 code does not match the ambient system")
+    gens = H.generators
+    for g in gens:
+        if sum(a * a for a in g) % 8:
             return g
-    for w in H.codewords():
-        if sys.h(w) != 0:
-            return w
+    for g, k in combinations(gens, 2):
+        if sum(a * b for a, b in zip(g, k)) % 4:
+            return tuple((a + b) % 4 for a, b in zip(g, k))
     return None
+
+
+def integer_weight_subgroup(sys: PointedSystem, H: Z4Code) -> bool:
+    """True iff h(x) is an integer for every x in the Z4 code H."""
+    return _non_integral_element(sys, H) is None
 
 
 def trivial_system() -> PointedSystem:
@@ -237,117 +220,80 @@ def z4_dual_code(code: Z4Code) -> Z4Code:
 
 
 # ---------------------------------------------------------------------------
-# abelian structure of small quotients
+# the quotient H-perp / H
 
 
-def _coset_minimum(x: Element, H: Z4Code) -> Element:
-    return min(tuple((a + b) % 4 for a, b in zip(x, h)) for h in H.codewords())
+def _quotient_basis(H: Z4Code, dual: Z4Code) -> List[Tuple[Element, int]]:
+    """Generators of dual / H with their orders, presenting it as Z4^a x Z2^b.
 
+    H is isotropic and dual is H-perp.  The quotient Q is killed by 4, so
+    a = dim 2Q and b = dim Q[2] - dim 2Q:
 
-def _abelian_basis(elements: List[Element], add, identity) -> List[Tuple[Element, int]]:
-    """Cyclic decomposition of a small abelian group given as an element list."""
+    - the order-4 generators are generators x of H-perp whose doubles are
+      independent modulo H; those doubles span 2Q;
+    - Q[2] is (H-perp cap B) / H with B = {b : 2b in H}.  Since
+      x.(2y) = (2x).y, x is orthogonal to 2*H-perp iff 2x is in
+      H-perp-perp = H, so B = (2*H-perp)-perp and H-perp cap B =
+      (H + 2*H-perp)-perp.  The order-2 generators are generators y of
+      this second dual that are independent modulo H plus the doubles
+      above.
 
-    def order_of(x):
-        n, y = 1, x
-        while y != identity:
-            y = add(y, x)
-            n += 1
-        return n
-
-    if len(elements) == 1:
-        return []
-    x = max(elements, key=order_of)
-    n = order_of(x)
-    cyclic = []
-    y = identity
-    for _ in range(n):
-        cyclic.append(y)
-        y = add(y, x)
-    # quotient by <x>: canonical representative is the coset minimum
-    reps: Dict[Element, Element] = {}
-    for e in elements:
-        reps[e] = min(add(e, c) for c in cyclic)
-    quots = sorted(set(reps.values()))
-    sub = _abelian_basis(
-        quots,
-        lambda p, q: reps[add(p, q)],
-        reps[identity],
-    )
-    out = [(x, n)]
-    for g, o in sub:
-        # lift each quotient generator to an element of the same order;
-        # one exists because <x> is a direct summand (x has maximal order)
-        for c in cyclic:
-            cand = add(g, c)
-            acc = cand
-            for _ in range(o - 1):
-                acc = add(acc, cand)
-            if acc == identity:
-                out.append((cand, o))
-                break
-        else:
-            raise FusionError("no order-preserving lift found")
-    return out
+    A relation sum c_i x_i + sum e_j y_j in H forces every c_i even (double
+    it), then every e_j zero and every c_i = 0 mod 4, so the presentation
+    is faithful; 2a + b = log2 |Q| checks that it is onto.
+    """
+    d = H.length
+    doubles = [tuple(2 * a % 4 for a in x) for x in dual.generators]
+    span = list(H.generators)
+    basis: List[Tuple[Element, int]] = []
+    for x, x2 in zip(dual.generators, doubles):
+        if x2 not in Z4Code(d, span):
+            span.append(x2)
+            basis.append((x, 4))
+    two_torsion = z4_dual_code(Z4Code(d, list(H.generators) + doubles))
+    for y in two_torsion.generators:
+        if y not in Z4Code(d, span):
+            span.append(y)
+            basis.append((y, 2))
+    if sum(2 if o == 4 else 1 for _, o in basis) != dual.log2_size - H.log2_size:
+        raise FusionError("quotient generators do not present H-perp / H")
+    return basis
 
 
 def _quotient_system(sys: PointedSystem, H: Z4Code, dual: Z4Code) -> PointedSystem:
-    index = len(dual) // len(H)
-    if index == 1:
+    if dual.log2_size == H.log2_size:
         return trivial_system()
-    if len(H) == 1:
+    if H.log2_size == 0:
         return sys
-    if index > QUOTIENT_LIMIT or len(H) > GROUP_ENUM_LIMIT:
-        raise FusionError("quotient too large to present explicitly")
-    reps = sorted({_coset_minimum(w, H) for w in dual.codewords()})
-    if len(reps) != index:
-        raise FusionError("coset representative count mismatch")
-
-    def q_add(x, y):
-        return _coset_minimum(tuple((a + b) % 4 for a, b in zip(x, y)), H)
-
-    identity = _coset_minimum((0,) * H.length, H)
-    basis = _abelian_basis(reps, q_add, identity)
-    orders = tuple(o for _, o in basis)
-    gens = [g for g, _ in basis]
+    basis = _quotient_basis(H, dual)
 
     def weight(coords: Element) -> Fraction:
         x = (0,) * H.length
-        for c, g, o in zip(coords, gens, orders):
-            for _ in range(c % o):
-                x = tuple((a + b) % 4 for a, b in zip(x, g))
+        for c, (g, o) in zip(coords, basis):
+            x = tuple((a + (c % o) * b) % 4 for a, b in zip(x, g))
         return sys.h(x)
 
-    return PointedSystem(orders, weight)
+    return PointedSystem(tuple(o for _, o in basis), weight)
 
 
-def simple_current_extension(sys: PointedSystem, H) -> ExtensionResult:
+def simple_current_extension(sys: PointedSystem, H: Z4Code) -> ExtensionResult:
     """Admissibility and index bookkeeping of the extension of sys by H.
 
     Allowed iff every element of H has integer weight (spin 1); then the
     mu-index drops by |H|^2 and the surviving sectors form H-perp / H.
+    Sizes come from basis-row counts, so no codeword is enumerated.
     """
     mu_before = mu_index(sys)
-    if isinstance(H, Z4Code):
-        size = len(H)
-        allowed = integer_weight_subgroup(sys, H)
-        offending = None if allowed else _offending_element(sys, H)
-        quotient = None
-        if allowed:
-            dual = z4_dual_code(H)
-            for g in H.generators:
-                if g not in dual:
-                    raise FusionError("integer-weight subgroup is not isotropic")
-            quotient = _quotient_system(sys, H, dual)
-    else:
-        elements = _subgroup_elements(sys, [tuple(g) for g in H])
-        size = len(elements)
-        offending = next((x for x in elements if sys.h(x) != 0), None)
-        allowed = offending is None
-        quotient = None
-        if allowed and size == 1:
-            quotient = sys
-    mu_after = Fraction(mu_before, size * size)
-    return ExtensionResult(allowed, mu_before, mu_after, quotient, offending)
+    offending = _non_integral_element(sys, H)
+    quotient = None
+    if offending is None:
+        dual = z4_dual_code(H)
+        for g in H.generators:
+            if g not in dual:
+                raise FusionError("integer-weight subgroup is not isotropic")
+        quotient = _quotient_system(sys, H, dual)
+    mu_after = Fraction(mu_before, 1 << (2 * H.log2_size))
+    return ExtensionResult(offending is None, mu_before, mu_after, quotient, offending)
 
 
 # ---------------------------------------------------------------------------

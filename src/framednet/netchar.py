@@ -273,6 +273,9 @@ def emit_branching_graph(d: int) -> str:
     and 4^d one-dimensional sectors below, the 4^d sectors of the extension
     above, 2^(d+1) twisted sectors attached to 2^d soliton nodes.  Incidence
     within each block follows the standard induction-restriction pattern.
+    The edge indices are schematic: they follow that pattern by index
+    arithmetic, not from the census, so only the node and edge counts are
+    derived.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")

@@ -7,27 +7,46 @@ value is what E4^3/Delta - 744 gives, what the Monster decomposition
 2*1 + 2*196883 + 21296876 + 842609326 sums to, and what the code-sum and
 orbifold routes both derive.  `test_expansions_match_j` checks the lists
 against J computed here with plain integers, independently of the package.
+The modular oracle below extends that check from four coefficients of one
+character to 31 coefficients of every route at ranks 8, 16, 24 and 32.
 """
+
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from framednet.codes import BinaryCode, builtin_code
+from framednet.netchar import frame_char, theta_over_eta
+from framednet.orbifold import orbifold_vacuum_char
 from framednet.selftest import CRITERIA, LEECH_EXPANSION, MOONSHINE_EXPANSION
+
+
+def _mul(a, b, n):
+    """Product of two integer power series, cut to n terms."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def _e4(n):
+    return [1] + [240 * sum(d**3 for d in range(1, k + 1) if k % d == 0) for k in range(1, n)]
+
+
+def _euler_power(p, n):
+    """prod_m (1 - q^m)^p cut to n terms; eta^p without its q^(p/24)."""
+    out = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        for _ in range(p):
+            for k in range(n - 1, m - 1, -1):
+                out[k] -= out[k - m]
+    return out
 
 
 def _j_coefficients(top):
     """Coefficients of q^-1 .. q^top of J = E4^3/Delta - 744, in integers."""
     n = top + 2  # power-series terms q^0 .. q^(top+1) before dividing by q
-
-    def mul(a, b):
-        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
-
-    e4 = [1] + [240 * sum(d**3 for d in range(1, k + 1) if k % d == 0) for k in range(1, n)]
-    delta_over_q = [1] + [0] * (n - 1)  # prod (1 - q^m)^24
-    for m in range(1, n):
-        for _ in range(24):
-            for k in range(n - 1, m - 1, -1):
-                delta_over_q[k] -= delta_over_q[k - m]
-    numerator = mul(mul(e4, e4), e4)
+    e4 = _e4(n)
+    delta_over_q = _euler_power(24, n)
+    numerator = _mul(_mul(e4, e4, n), e4, n)
     quotient = []  # numerator / delta_over_q; the divisor has leading term 1
     for k in range(n):
         quotient.append(numerator[k] - sum(quotient[i] * delta_over_q[k - i] for i in range(k)))
@@ -39,6 +58,88 @@ def test_expansions_match_j():
     j = _j_coefficients(3)
     assert MOONSHINE_EXPANSION == j
     assert LEECH_EXPANSION == [j[0], j[1] + 24] + j[2:]
+
+
+# The modular oracle.  For a holomorphic net of central charge d (8 | d),
+# chi * eta^d is a modular form of weight d/2 for SL2(Z), so it lies in the
+# span of E4^(d/8 - 3i) Delta^i, 0 <= i <= d/24.  Delta^i starts at q^i, so
+# the first d/24 + 1 coefficients fix the form and the rest check it.
+
+MODULAR_STEPS = 30
+
+
+def _modular_form_coefficients(series, d):
+    """The c_i with chi * eta^d = sum_i c_i E4^(d/8-3i) Delta^i, fitted on
+    the first d/24 + 1 coefficients and checked on all 31."""
+    n = MODULAR_STEPS + 1
+    chi = [series.coeff(Fraction(-d, 24) + k) for k in range(n)]
+    f = _mul(chi, _euler_power(d, n), n)
+    delta = [0] + _euler_power(24, n - 1)
+    form, cs = [0] * n, []
+    for i in range(d // 24 + 1):
+        basis = [1] + [0] * (n - 1)
+        for _ in range(d // 8 - 3 * i):
+            basis = _mul(basis, _e4(n), n)
+        for _ in range(i):
+            basis = _mul(basis, delta, n)
+        cs.append(f[i] - form[i])  # basis starts 1 * q^i
+        form = [a + cs[-1] * b for a, b in zip(form, basis)]
+    assert f == form, f"chi * eta^{d} is not a modular form: {f} != {form}"
+    return cs
+
+
+def _direct_sum(code, other):
+    rows = [list(g) + [0] * other.length for g in code.generators]
+    rows += [[0] * code.length + list(g) for g in other.generators]
+    return BinaryCode(code.length + other.length, rows)
+
+
+def _reed_muller_2_5():
+    """RM(2, 5): the monomials of degree <= 2 in 5 variables on F2^5."""
+    points = [[(x >> i) & 1 for i in range(5)] for x in range(32)]
+    monomials = [()] + [(i,) for i in range(5)] + list(combinations(range(5), 2))
+    return BinaryCode(32, [[int(all(p[i] for i in m)) for p in points] for m in monomials])
+
+
+MODULAR_CODES = {
+    "h8": lambda: builtin_code("h8"),
+    "h8+h8": lambda: _direct_sum(builtin_code("h8"), builtin_code("h8")),
+    "golay24": lambda: builtin_code("golay24"),
+    "rm25": _reed_muller_2_5,
+}
+
+# c_1 = (weight-one dimension) - d - [q^1] E4^(d/8); the orbifold of L has
+# Ltilde's character, and the orbifold of Ltilde has no weight-one state.
+MODULAR_C1 = {
+    "golay24": {"L": (-672, -720), "Ltilde": (-720, -744)},
+    "rm25": {"L": (-896, -960), "Ltilde": (-960, -992)},
+}
+
+ROUTES = {
+    "frame": frame_char,
+    "theta": theta_over_eta,
+    "orbifold": orbifold_vacuum_char,
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("variant", ["L", "Ltilde"])
+@pytest.mark.parametrize("name", list(MODULAR_CODES))
+def test_characters_are_modular(name, variant, route):
+    code = MODULAR_CODES[name]()
+    series = ROUTES[route](code, variant, MODULAR_STEPS).series
+    expected = [1]
+    if name in MODULAR_C1:
+        lattice_c1, orbifold_c1 = MODULAR_C1[name][variant]
+        expected.append(orbifold_c1 if route == "orbifold" else lattice_c1)
+    assert _modular_form_coefficients(series, code.length) == expected
+
+
+@pytest.mark.parametrize("name", list(MODULAR_CODES))
+def test_orbifold_of_l_has_the_character_of_ltilde(name):
+    code = MODULAR_CODES[name]()
+    orbifold = orbifold_vacuum_char(code, "L", MODULAR_STEPS).series
+    assert orbifold == frame_char(code, "Ltilde", MODULAR_STEPS).series
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: JSON/CSV emission, determinism, the result
-cache, and the exit-code contract (0 ok, 1 validation failure, 2 input).
+cache, and the exit-code contract (0 ok, 1 a hypothesis or domain failure,
+2 unreadable or malformed input).
 """
 
 import json
@@ -127,6 +128,73 @@ class TestCodeHypotheses:
         assert err == f"validation failure: {message}\n"
 
 
+class TestMalformedInput:
+    """A file that does not parse, or an unknown builtin, is bad input (exit 2)
+    on every command; a code outside the hypotheses exits 1 (above)."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("012\n", "symbol out of range in '012'"),
+            ("1100\n110\n", "generator lengths differ"),
+            ("", "empty code file"),
+            ("11x0\n", "bad code line '11x0'"),
+        ],
+        ids=["symbol", "ragged", "empty", "not-a-digit"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate-code"],
+            ["char", "--route", "code"],
+            ["char", "--route", "theta"],
+            ["--cache", "CACHE", "char"],
+            ["orbifold-char"],
+            ["framed"],
+        ],
+        ids=["validate-code", "char-code", "char-theta", "char-cached", "orbifold-char", "framed"],
+    )
+    def test_code_file(self, capsys, tmp_path, text, message, argv):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        argv = [str(tmp_path / "cache") if a == "CACHE" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--code", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["validate-code", "char", "orbifold-char", "framed"])
+    def test_unknown_builtin(self, capsys, command):
+        code, out, err = run(capsys, command, "--code", "builtin:nope")
+        assert code == 2 and out == ""
+        assert err == "error: unknown builtin code 'nope' (have: ['golay24', 'h8'])\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0125\n", "symbol out of range in '0125'"),
+            ("2200\n220\n", "generator lengths differ"),
+            ("", "empty code file"),
+        ],
+        ids=["symbol", "ragged", "empty"],
+    )
+    def test_subgroup_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "extend", "--system", "z4pow:4", "--subgroup", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_subgroup_path_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "extend", "--system", "z4pow:4", "--subgroup", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_unknown_builtin_subgroup(self, capsys):
+        code, out, err = run(capsys, "extend", "--system", "z4pow:8", "--subgroup", "builtin:nope")
+        assert code == 2 and out == ""
+        assert err == "error: unknown builtin code 'nope' (have: ['golay24', 'h8'])\n"
+
+
 class TestCache:
     def test_miss_then_hit(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -239,6 +307,27 @@ class TestExtend:
     def test_bad_system_exit_2(self, capsys):
         code, _, err = run(capsys, "extend", "--system", "u1", "--subgroup", "builtin:h8")
         assert code == 2 and "z4pow" in err
+
+    @pytest.mark.parametrize("d, k, orders", [(12, 6, [4] * 6), (34, 1, [4] * 32 + [2, 2])])
+    def test_chain_quotients(self, capsys, tmp_path, d, k, orders):
+        # H = 2*C, C spanned by e_i + e_(i+1): a coset enumeration hung on
+        # d = 12 and overflowed len() on d = 34
+        path = tmp_path / "h.txt"
+        path.write_text("".join("0" * i + "22" + "0" * (d - i - 2) + "\n" for i in range(k)))
+        code, out, err = run(capsys, "extend", "--system", f"z4pow:{d}", "--subgroup", str(path))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["allowed"] and doc["quotient_orders"] == orders
+        assert doc["subgroup_size"] == 2 ** k and doc["mu_after"] == str(4 ** d // 4 ** k)
+
+    def test_size_beyond_a_machine_int(self, capsys, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("".join("0" * i + "1" + "0" * (31 - i) + "\n" for i in range(32)))
+        code, out, err = run(capsys, "extend", "--system", "z4pow:32", "--subgroup", str(path))
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["allowed"] is False and doc["offending"] == [1] + [0] * 31
+        assert doc["subgroup_size"] == 2 ** 64
 
     def test_length_mismatch_exit_2(self, capsys):
         code, _, _ = run(

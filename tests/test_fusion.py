@@ -2,9 +2,12 @@
 framed-structure counts.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from framednet.codes import BinaryCode, Z4Code, builtin_code, builtin_delta, delta_code
 from framednet.fusion import (
@@ -28,6 +31,7 @@ from framednet.fusion import (
     z4_dual_code,
     z4_power_system,
 )
+from framednet.fusion import _quotient_basis
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -74,7 +78,7 @@ class TestPointedSystems:
 
 class TestIntegerWeightSubgroup:
     def test_trivial_subgroup(self):
-        assert integer_weight_subgroup(z4_power_system(2), [(0, 0)])
+        assert integer_weight_subgroup(z4_power_system(2), Z4Code(2, [(0, 0)]))
 
     def test_h8_delta_all_integral(self):
         sys_ = z4_power_system(8)
@@ -136,6 +140,14 @@ class TestExtensions:
         assert not result.allowed
         assert result.offending == (1, 0)
 
+    def test_offender_of_a_pair_of_integral_generators(self):
+        H = Z4Code(16, [(1,) * 8 + (0,) * 8, (0,) * 6 + (1,) * 8 + (0,) * 2])
+        sys_ = z4_power_system(16)
+        assert all(sys_.h(g) == 0 for g in H.generators)
+        r = simple_current_extension(sys_, H)
+        assert not r.allowed and r.quotient_system is None
+        assert r.offending in H and sys_.h(r.offending) != 0
+
     def test_mu_arithmetic_invariant(self):
         for H in (Z4Code(2, [(2, 2)]), Z4Code(2, [(0, 0)])):
             r = simple_current_extension(z4_power_system(2), H)
@@ -150,6 +162,107 @@ class TestExtensions:
             r.quotient_system.h(x) for x in r.quotient_system.elements()
         )
         assert weights == [0, Fraction(1, 4), Fraction(1, 4), HALF]
+
+
+# The quotient oracle: every word of H-perp reduced to its coset minimum over
+# all of H, and the list of cosets decomposed by element orders.
+
+
+def _coset_minimum(x, H):
+    return min(tuple((a + b) % 4 for a, b in zip(x, h)) for h in H.codewords())
+
+
+def _abelian_basis(elements, add, identity):
+    """Cyclic decomposition of a small abelian group given as an element list."""
+
+    def order_of(x):
+        n, y = 1, x
+        while y != identity:
+            y = add(y, x)
+            n += 1
+        return n
+
+    if len(elements) == 1:
+        return []
+    x = max(elements, key=order_of)
+    n = order_of(x)
+    cyclic = []
+    y = identity
+    for _ in range(n):
+        cyclic.append(y)
+        y = add(y, x)
+    reps = {e: min(add(e, c) for c in cyclic) for e in elements}
+    sub = _abelian_basis(sorted(set(reps.values())), lambda p, q: reps[add(p, q)], reps[identity])
+    out = [(x, n)]
+    for g, o in sub:
+        # lift to an element of the same order; <x> is a direct summand
+        for c in cyclic:
+            cand = add(g, c)
+            acc = cand
+            for _ in range(o - 1):
+                acc = add(acc, cand)
+            if acc == identity:
+                out.append((cand, o))
+                break
+        else:
+            raise AssertionError("no order-preserving lift found")
+    return out
+
+
+def _oracle_quotient(H):
+    """(orders, coset minima) of H-perp / H by enumeration."""
+    reps = sorted({_coset_minimum(w, H) for w in z4_dual_code(H).codewords()})
+
+    def add(x, y):
+        return _coset_minimum(tuple((a + b) % 4 for a, b in zip(x, y)), H)
+
+    basis = _abelian_basis(reps, add, _coset_minimum((0,) * H.length, H))
+    return tuple(o for _, o in basis), reps
+
+
+@st.composite
+def _isotropic_codes(draw):
+    """A random isotropic Z4 code of length d <= 6: each drawn vector, or
+    else its double, joins the generators if b(x, y) = sum x_i y_i / 4
+    stays 0 on them (and, for half the codes, h(x) stays integral)."""
+    d = draw(st.integers(1, 6))
+    modulus = draw(st.sampled_from((4, 8)))
+    vectors = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    gens = []
+    for v in draw(st.lists(vectors, max_size=6)):
+        for x in (tuple(v), tuple(2 * a % 4 for a in v)):
+            if sum(a * a for a in x) % modulus == 0 and all(
+                sum(a * b for a, b in zip(x, g)) % 4 == 0 for g in gens
+            ):
+                gens.append(x)
+                break
+    return Z4Code(d, gens or [(0,) * d])
+
+
+class TestQuotientAgainstEnumeration:
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(_isotropic_codes())
+    @example(Z4Code(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]))  # self-dual, not integral
+    @example(builtin_delta("h8", "Ltilde"))  # index 1
+    def test_matches_coset_enumeration(self, H):
+        d = H.length
+        dual = z4_dual_code(H)
+        orders, reps = _oracle_quotient(H)
+        basis = _quotient_basis(H, dual)
+        assert tuple(o for _, o in basis) == orders
+        # faithful: the combinations hit distinct cosets, all inside H-perp
+        cosets = set()
+        for coeffs in product(*(range(o) for _, o in basis)):
+            x = tuple(sum(c * g[i] for c, (g, _) in zip(coeffs, basis)) % 4 for i in range(d))
+            assert x in dual
+            cosets.add(_coset_minimum(x, H))
+        assert len(cosets) == len(reps)
+        sys_ = z4_power_system(d)
+        r = simple_current_extension(sys_, H)
+        if r.allowed:
+            assert r.quotient_system.orders == orders
+            got = Counter(r.quotient_system.h(x) for x in r.quotient_system.elements())
+            assert got == Counter(sys_.h(x) for x in reps)
 
 
 class TestDualCodes:
