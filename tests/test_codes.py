@@ -1,6 +1,9 @@
 """Binary and Z4 code machinery: certification of the built-in codes,
 the pairwise Z4 lifting map, and the quotient codes of both lattice
 constructions.
+
+The oracles of the certification sweep live here: listing every codeword
+as a tuple, and the MacWilliams identity between a code and its dual.
 """
 
 import math
@@ -24,9 +27,7 @@ from framednet.codes import (
     builtin_code,
     builtin_delta,
     delta_code,
-    dual_binary_code,
     glue_vector,
-    hat_map,
     load_code,
     pair_types,
     sigma2_code,
@@ -35,6 +36,47 @@ from framednet.codes import (
 )
 from framednet.fusion import z4_dual_code
 from framednet.netchar import frame_char, lattice_net_char, theta_over_eta
+
+
+def dual_binary_code(code):
+    """The dual code C-perp under the standard bilinear form."""
+    d = code.length
+    pivots = [g.index(1) for g in code.generators]
+    free = [i for i in range(d) if i not in pivots]
+    gens = []
+    for f in free:
+        row = [0] * d
+        row[f] = 1
+        for p, g in zip(pivots, code.generators):
+            row[p] = g[f]
+        gens.append(row)
+    if not gens:
+        gens.append([0] * d)
+    return BinaryCode(d, gens)
+
+
+def sweep_weights(code):
+    """The weight enumerator read off the certification sweep."""
+    return codes._profile_weights(codes._pair_profile(code))
+
+
+def macwilliams_dual_weights(code):
+    """Weight enumerator of C-perp from C's sweep by the MacWilliams identity,
+    B_j = |C|^-1 sum_i A_i K_j(i), K_j the Krawtchouk polynomials."""
+    n = code.length
+    a = sweep_weights(code)
+    out = {}
+    for j in range(n + 1):
+        total = sum(
+            count * (-1) ** s * math.comb(i, s) * math.comb(n - i, j - s)
+            for i, count in a.items()
+            for s in range(min(i, j) + 1)
+        )
+        b_j, rem = divmod(total, len(code))
+        assert rem == 0, "MacWilliams transform did not clear denominators"
+        if b_j:
+            out[j] = b_j
+    return out
 
 
 class TestBinaryCodes:
@@ -86,8 +128,8 @@ class TestBinaryCodes:
         assert len(dual) * len(h8) == 2 ** 8
         assert all(w in h8 for w in dual.codewords())  # self-dual
 
-    def test_weight_enumerator_via_dual_transform(self, monkeypatch):
-        # even-weight code of length 10; force the dual-transform path
+    def test_weight_enumerator_via_dual_transform(self):
+        # the even-weight code of length 10 from its dual, the repetition code
         gens = []
         for i in range(9):
             row = [0] * 10
@@ -95,8 +137,8 @@ class TestBinaryCodes:
             gens.append(row)
         code = BinaryCode(10, gens)
         direct = validate_binary_code(code).weight_enumerator
-        monkeypatch.setattr(codes, "ENUM_LIMIT", 64)
-        assert codes._weight_enumerator(code) == (direct, None)
+        assert direct == {2 * i: math.comb(10, 2 * i) for i in range(6)}
+        assert macwilliams_dual_weights(dual_binary_code(code)) == direct
 
     def test_parse_rejects_bad_symbols(self):
         with pytest.raises(CodeError):
@@ -138,16 +180,11 @@ class TestSweep:
         if len(rows) > 2:
             rows.append([a ^ b for a, b in zip(rows[0], rows[1])])
         code = BinaryCode(n, rows)
-        weights, profile = codes._weight_enumerator(code)
-        assert weights == dict(Counter(sum(w) for w in code.codewords()))
-        assert profile == _enumerated_pair_profile(code)
-        # the larger of the code and its dual, through the other's sweep
-        big = max(code, dual_binary_code(code), key=lambda c: c.dimension)
-        if 2 * big.dimension > n:
-            direct = dict(Counter(sum(w) for w in big.codewords()))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(codes, "ENUM_LIMIT", (1 << big.dimension) - 1)
-                assert codes._weight_enumerator(big) == (direct, None)
+        report = validate_binary_code(code)
+        assert report.weight_enumerator == dict(Counter(sum(w) for w in code.codewords()))
+        assert report.pair_profile == _enumerated_pair_profile(code)
+        # the sweep of the dual against the MacWilliams transform of this one
+        assert sweep_weights(dual_binary_code(code)) == macwilliams_dual_weights(code)
 
 
 def _enumerated_pair_profile(code):
@@ -159,6 +196,19 @@ def _enumerated_pair_profile(code):
         pairs = Counter(zip(w[0::2], w[1::2]))
         profile[pairs[1, 1], pairs[1, 0], pairs[0, 1], 2 * w[-2] + w[-1]] += 1
     return dict(profile)
+
+
+_HAT = {(0, 0): (0, 0), (1, 1): (2, 0), (1, 0): (1, 1), (0, 1): (3, 1)}
+
+
+def hat_map(bits):
+    """Componentwise F2^2 -> Z4^2 map 00->00, 11->20, 10->11, 01->31."""
+    if len(bits) % 2 != 0:
+        raise CodeError("hat map needs an even-length vector")
+    out = []
+    for i in range(0, len(bits), 2):
+        out.extend(_HAT[(bits[i], bits[i + 1])])
+    return tuple(out)
 
 
 class TestHatMap:

@@ -15,7 +15,6 @@ from framednet.netchar import (
     NetCharacter,
     emit_branching_graph,
     frame_char,
-    ising_branching_check,
     ising_branching_mismatch,
     ising_char,
     _sum_of_products,
@@ -95,8 +94,7 @@ class TestU14Chars:
         assert a.first_difference(b) is None
 
     def test_branching_identities(self):
-        assert ising_branching_check(2)
-        assert ising_branching_check(8)
+        assert ising_branching_mismatch(2) is None
         assert ising_branching_mismatch(8) is None
 
 

@@ -4,7 +4,9 @@ and the vacuum character of the twisted orbifold.
 The independent oracles here are the product-form expansions themselves
 (checked elsewhere against generalized binomial convolutions) combined
 in dict arithmetic, plus closed-form expectations for the rank-8 case
-where the orbifold reproduces the original net.
+where the orbifold reproduces the original net.  Production expands only
+Z3; Z4's own product form is the oracle of Z4 = Z3(-q^{1/2}) and of the
+twisted sectors (Z3 +- Z4)/2.
 """
 
 from dataclasses import dataclass
@@ -12,15 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from framednet.codes import BinaryCode, builtin_code
+from framednet.codes import builtin_code
 from framednet.netchar import NetCharacter, theta_over_eta
 from framednet.orbifold import (
-    VALIDATED_RANKS,
     fixed_point_sector_chars,
     orbifold_pieces,
     orbifold_vacuum_char,
 )
 from framednet.qseries import DEN, QSeries, product_form, to_num
+from test_acceptance import MODULAR_CODES
 
 GOLAY = builtin_code("golay24")
 H8 = builtin_code("h8")
@@ -66,19 +68,44 @@ class TestPieces:
         assert p.z3.leading() == (Fraction(1, 6), 16)
         assert p.z4.leading() == (Fraction(1, 6), 16)
 
-    def test_sign_validation_flag(self):
-        assert VALIDATED_RANKS == (8, 24)
-        assert orbifold_pieces(GOLAY, "Ltilde", steps=3).sign_validated
-        gens = []
-        for row in H8.generators:
-            gens.append(list(row) + [0] * 8)
-            gens.append([0] * 8 + list(row))
-        d16 = BinaryCode(16, gens)
-        assert not orbifold_pieces(d16, "L", steps=3).sign_validated
-
     def test_vacuum_normalization_enforced(self):
         ch = orbifold_vacuum_char(H8, "L", steps=3)
         assert ch.leading() == (Fraction(-1, 3), 1)
+
+
+def twisted_oracle(kind, series, d):
+    """2^{d/2} q^{d/48} prod(1 -+ q^{n-1/2})^{-d} expanded to the order of `series`."""
+    ground = Fraction(d, 48)
+    return (
+        product_form(kind, -d, Fraction(series.order, DEN) - ground)
+        .shift(ground)
+        .scale(2 ** (d // 2))
+    )
+
+
+class TestTwistedSector:
+    """Z4 and beta1/beta2 are read off the one Z3 expansion; Z4's product
+    form checks both, at every rank of the modular oracle."""
+
+    @pytest.mark.parametrize("piece, kind", [("z3", "1-q^{n-1/2}"), ("z4", "1+q^{n-1/2}")])
+    @pytest.mark.parametrize("name", list(MODULAR_CODES))
+    def test_twisted_piece_matches_product_form(self, name, piece, kind):
+        code = MODULAR_CODES[name]()
+        series = getattr(orbifold_pieces(code, "L", steps=4), piece).series
+        assert series == twisted_oracle(kind, series, code.length)
+
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    @pytest.mark.parametrize("name", list(MODULAR_CODES))
+    def test_beta1_is_the_integer_weight_combination(self, name, variant):
+        code = MODULAR_CODES[name]()
+        d = code.length
+        p = orbifold_pieces(code, variant, steps=4)
+        _, _, b1, b2 = fixed_point_sector_chars(p)
+        vacuum = to_num(Fraction(-d, 24))
+        assert b1.series.terms and all((n - vacuum) % DEN == 0 for n in b1.series.terms)
+        z3 = p.z3.series
+        z4 = twisted_oracle("1+q^{n-1/2}", z3, d)
+        assert {b1.series, b2.series} == {(z3 + z4).half(), (z3 - z4).half()}
 
 
 class TestSectors:
