@@ -4,11 +4,17 @@ content-addressed on-disk result cache.
 Exit codes: 0 success, 1 domain validation failure (a code outside the
 paper's hypotheses, a subgroup without integer weights), 2 input/usage
 error (a missing, unreadable or malformed file, an unknown builtin name,
-a bad flag value such as a dimension below 1).
+a bad flag value such as a dimension below 1 or an `emit-graph --d`
+above GRAPH_D_LIMIT, an output file or cache directory that cannot be
+written).  An exit 2 prints `error: ...` to stderr (after argparse's
+usage line for a bad flag) and nothing to stdout.
 
 Only stdlib modules are imported here. Each subcommand imports the
 framednet modules it runs, so a short-lived process that answers from
 the cache, or runs a command that needs no series, loads no more.
+Records are `typing.NamedTuple`s rather than frozen data classes, whose
+module would load `inspect`, `ast`, `dis` and `tokenize` into every
+process.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ import sys
 from typing import Dict, List, Optional
 
 CACHE_ENV = "FRAMEDNET_CACHE"
+# emit-graph builds its whole DOT text in memory, and the text grows 4x
+# per step of d: d = 8 is 8.6 MB.
+GRAPH_D_LIMIT = 8
 
 
 class InputError(Exception):
@@ -66,21 +75,29 @@ def _code_identity(spec: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}")
+
+
 def _emit(doc: dict, json_path: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text)
+        _write_text(json_path, text)
     else:
         sys.stdout.write(text)
 
 
 def _emit_csv(series_doc: dict, csv_path: str) -> None:
+    """Callers write the CSV before any stdout, so that a failed write
+    leaves stdout empty."""
     lines = ["exponent_num,coefficient"]
     for num, coeff in series_doc["terms"]:
         lines.append(f"{num},{coeff}")
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(csv_path, "\n".join(lines) + "\n")
 
 
 def _cache_dir(args) -> Optional[str]:
@@ -110,14 +127,16 @@ def _cached(args, spec: str, request: dict, compute) -> dict:
         except (ValueError, OSError) as e:
             print(f"warning: ignoring unreadable cache entry {path}: {e}", file=sys.stderr)
     result = compute()
-    os.makedirs(cache, exist_ok=True)
     # A name of this writer's own, so concurrent writers never share a temp
     # file; opened like any new file so the entry keeps the umask's mode.
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
+        os.makedirs(cache, exist_ok=True)
         with open(tmp, "x") as fh:
             json.dump({"_manifest": key_doc, "result": result}, fh, sort_keys=True)
         os.replace(tmp, path)
+    except OSError as e:
+        raise InputError(f"cannot write cache {cache}: {e.strerror or e}")
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -142,6 +161,13 @@ def _order(text: str) -> int:
 
 def _dimension(text: str) -> int:
     return _int_at_least(1, text)
+
+
+def _graph_dimension(text: str) -> int:
+    d = _int_at_least(0, text)
+    if d > GRAPH_D_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be at most {GRAPH_D_LIMIT}, got {d}")
+    return d
 
 
 def _parse_fraction(s: str):
@@ -197,12 +223,12 @@ def _char_series(spec: str, variant: str, order: int, route: str, args) -> dict:
 
 
 def _cmd_char(args) -> int:
+    if args.csv and args.route == "both":
+        raise InputError("--csv needs a single route")
     doc = _char_series(args.code, args.variant, args.order, args.route, args)
-    _emit(doc, args.json)
     if args.csv:
-        if args.route == "both":
-            raise InputError("--csv needs a single route")
         _emit_csv(doc, args.csv)
+    _emit(doc, args.json)
     return 0
 
 
@@ -236,9 +262,9 @@ def _cmd_orbifold_char(args) -> int:
         return doc
 
     doc = _cached(args, args.code, request, compute)
-    _emit(doc, args.json)
     if args.csv:
         _emit_csv(doc, args.csv)
+    _emit(doc, args.json)
     return 0
 
 
@@ -357,12 +383,11 @@ def _cmd_framed(args) -> int:
 def _cmd_emit_graph(args) -> int:
     from .netchar import emit_branching_graph
 
-    text = emit_branching_graph(args.d)
+    text = emit_branching_graph(args.d) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     return 0
 
 
@@ -425,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json")
 
     sp = sub.add_parser("emit-graph", help="induction-restriction graph (DOT)")
-    sp.add_argument("--d", type=_order, required=True)
+    sp.add_argument("--d", type=_graph_dimension, required=True, help=f"0..{GRAPH_D_LIMIT}")
     sp.add_argument("--out")
 
     sub.add_parser("selftest", help="run the acceptance checks")

@@ -13,10 +13,9 @@ codes and 0-3 for Z4 codes, with ``#`` comments.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 Profile = Tuple[int, int, int, int]
@@ -98,8 +97,7 @@ class BinaryCode:
         return f"BinaryCode(length={self.length}, dim={self.dimension})"
 
 
-@dataclass(frozen=True)
-class CodeReport:
+class CodeReport(NamedTuple):
     doubly_even: bool
     self_dual: bool
     contains_all_ones: bool

@@ -3,9 +3,8 @@
 A pointed system is a finite abelian group of sector labels together with
 a conformal-weight map h: G -> Q mod 1.  This module covers simple
 current extension admissibility, mu-index arithmetic, the orbifold
-sector census (with exact statistical dimensions in Z[sqrt(2)]), the
-order-2 sign involutions on Ising-labelled decompositions, and the
-two-step framed-structure data (k, l).
+sector census (with exact statistical dimensions in Z[sqrt(2)]), and
+the two-step framed-structure data (k, l).
 
 The extension of Z4^d by a Z4 code H is pure linear algebra over Z4: the
 weight check reads H's generators and their pairs, the surviving sectors
@@ -16,10 +15,9 @@ size is 2^(number of basis rows).  No codeword of H or H-perp is listed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .codes import Z4Code, _rref_f2
 
@@ -27,17 +25,12 @@ Element = Tuple[int, ...]
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
 
-U14_WEIGHT_TABLE = (Fraction(0), Fraction(1, 8), HALF, Fraction(1, 8))
-
-GROUP_ENUM_LIMIT = 1 << 20
-
 
 class FusionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PointedSystem:
+class PointedSystem(NamedTuple):
     """Finite abelian group of sector labels with a weight map h mod 1.
 
     `orders` lists the cyclic factor orders; elements are coordinate
@@ -61,18 +54,8 @@ class PointedSystem:
     def neg(self, x: Element) -> Element:
         return tuple((-a) % o for a, o in zip(x, self.orders))
 
-    def elements(self) -> Iterable[Element]:
-        if self.size() > GROUP_ENUM_LIMIT:
-            raise FusionError("system too large to enumerate")
-        return product(*(range(o) for o in self.orders))
-
     def h(self, x: Element) -> Fraction:
         return self.weight(x) % 1
-
-
-def u14_system() -> PointedSystem:
-    """The Z4 sector system of the rank-one net, h = (0, 1/8, 1/2, 1/8)."""
-    return PointedSystem((4,), lambda x: U14_WEIGHT_TABLE[x[0] % 4], ambient_length=1)
 
 
 def z4_power_system(d: int) -> PointedSystem:
@@ -89,14 +72,6 @@ def z4_power_system(d: int) -> PointedSystem:
 def mu_index(sys: PointedSystem) -> int:
     """Square sum of statistical dimensions; |G| for a pointed system."""
     return sys.size()
-
-
-def rehren_relation_holds(sys: PointedSystem, x: Element, n: int) -> bool:
-    """h(n x) = n^2 h(x) mod 1 (the spin power rule for simple currents)."""
-    nx = sys.identity()
-    for _ in range(n):
-        nx = sys.add(nx, x)
-    return sys.h(nx) == (n * n * sys.weight(x)) % 1
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +111,7 @@ def trivial_system() -> PointedSystem:
     return PointedSystem((), lambda x: Fraction(0))
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     allowed: bool
     mu_before: int
     mu_after: Fraction
@@ -328,23 +302,41 @@ def fusion_group_disambiguation(weights: Sequence) -> str:
 # exact arithmetic in Z[sqrt 2] and the orbifold sector census
 
 
-@dataclass(frozen=True)
 class Zroot2:
-    """a + b*sqrt(2) with integer a, b."""
+    """a + b*sqrt(2) with integer a, b.
 
-    a: int
-    b: int
+    Values are compared and hashed by (a, b) and must not be mutated.
+    Only Zroot2 values add and multiply; an int scales through `scale`.
+    """
 
-    def __add__(self, other: "Zroot2") -> "Zroot2":
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Zroot2):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __add__(self, other: Zroot2) -> Zroot2:
+        if not isinstance(other, Zroot2):
+            return NotImplemented
         return Zroot2(self.a + other.a, self.b + other.b)
 
-    def __mul__(self, other: "Zroot2") -> "Zroot2":
+    def __mul__(self, other: Zroot2) -> Zroot2:
+        if not isinstance(other, Zroot2):
+            return NotImplemented
         return Zroot2(
             self.a * other.a + 2 * self.b * other.b,
             self.a * other.b + self.b * other.a,
         )
 
-    def scale(self, n: int) -> "Zroot2":
+    def scale(self, n: int) -> Zroot2:
         return Zroot2(n * self.a, n * self.b)
 
     def __repr__(self) -> str:
@@ -358,8 +350,7 @@ def root2_power(k: int) -> Zroot2:
     return Zroot2(0, 1 << ((k - 1) // 2))
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     d: int
     dim2_count: int
     dim1_count: int
@@ -405,42 +396,13 @@ def orbifold_census(d: int) -> Census:
 
 
 # ---------------------------------------------------------------------------
-# sign involutions and framed structure
+# framed structure
 
 Label = Tuple[Fraction, ...]
 ISING_LABELS = (Fraction(0), HALF, SIXTEENTH)
 
 
-@dataclass(frozen=True)
-class SignedDecomposition:
-    entries: Tuple[Tuple[Label, int, int], ...]  # (label, multiplicity, sign)
-    is_identity: bool
-
-
-def miyamoto_involution(
-    decomp: Sequence[Tuple[Label, int]], k: int, variant: str
-) -> SignedDecomposition:
-    """Sign map on an Ising-labelled decomposition at tensor position k.
-
-    variant "tau" flips labels with 1/16 at position k; "tau_prime" flips
-    labels with 1/2 there and requires that no label carries 1/16 at k.
-    """
-    if variant not in ("tau", "tau_prime"):
-        raise FusionError(f"unknown involution variant {variant!r}")
-    flip = SIXTEENTH if variant == "tau" else HALF
-    entries = []
-    for label, mult in decomp:
-        if not 0 <= k < len(label):
-            raise FusionError("position k out of range")
-        if variant == "tau_prime" and label[k] == SIXTEENTH:
-            raise FusionError("tau_prime undefined: a label carries 1/16 at k")
-        sign = -1 if label[k] == flip else 1
-        entries.append((tuple(label), mult, sign))
-    return SignedDecomposition(tuple(entries), all(s == 1 for *_, s in entries))
-
-
-@dataclass(frozen=True)
-class FramedStructure:
+class FramedStructure(NamedTuple):
     num_factors: int
     k: int
     l: int

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .codes import BinaryCode, Z4Code, check_lattice_hypotheses, pair_types
 from .qseries import DEN, QSeries, eta_power, product_form, to_num
@@ -28,8 +27,7 @@ ISING_WEIGHTS = (Fraction(0), HALF, SIXTEENTH)
 U14_WEIGHTS = (Fraction(0), Fraction(1, 8), HALF, Fraction(1, 8))
 
 
-@dataclass(frozen=True)
-class NetCharacter:
+class NetCharacter(NamedTuple):
     """A specialized character: q-expansion plus central charge."""
 
     series: QSeries

@@ -8,17 +8,15 @@ under q^{1/2} -> -q^{1/2}, and beta1 is the integer-weight part of Z3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .codes import BinaryCode, check_holomorphic_hypotheses
 from .netchar import NetCharacter, _char_order_num, theta_over_eta
 from .qseries import DEN, QSeries, product_form, to_num
 
 
-@dataclass(frozen=True)
-class OrbifoldPieces:
+class OrbifoldPieces(NamedTuple):
     """The four trace functions of the order-2 orbifold at rank d.
 
     z1 is the untwisted character, z2 its sign-twisted trace, z3 and z4

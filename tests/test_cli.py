@@ -4,10 +4,15 @@ cache, and the exit-code contract (0 ok, 1 a hypothesis or domain failure,
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from framednet.cli import main
+from framednet import cli, netchar
+from framednet.cli import GRAPH_D_LIMIT, main
 from framednet.qseries import DEN
 
 
@@ -419,6 +424,102 @@ class TestEmitGraph:
         code, out, err = run(capsys, "emit-graph", "--d", "-1")
         assert code == 2 and out == ""
         assert "error: argument --d: must be nonnegative, got -1" in err
+
+    @pytest.mark.parametrize("d", [GRAPH_D_LIMIT + 1, 24])
+    def test_d_above_limit_exit_2_before_any_text(self, capsys, monkeypatch, d):
+        def refuse(d):
+            raise AssertionError("the DOT text was built")
+
+        monkeypatch.setattr(netchar, "emit_branching_graph", refuse)
+        code, out, err = run(capsys, "emit-graph", "--d", str(d))
+        assert code == 2 and out == ""
+        assert f"error: argument --d: must be at most {GRAPH_D_LIMIT}, got {d}" in err
+
+    def test_limit_is_accepted(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(netchar, "emit_branching_graph", lambda d: built.append(d) or "g")
+        code, out, _ = run(capsys, "emit-graph", "--d", str(GRAPH_D_LIMIT))
+        assert code == 0 and out == "g\n" and built == [GRAPH_D_LIMIT]
+
+
+class TestUnwritableOutput:
+    """An output path or cache that cannot be written is bad input: exit 2,
+    one error line and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("char", "--code", "builtin:h8", "--order", "2", "--json", "{missing}/x.json"),
+            ("char", "--code", "builtin:h8", "--order", "2", "--route", "theta",
+             "--csv", "{missing}/x.csv"),
+            ("orbifold-char", "--code", "builtin:h8", "--order", "2",
+             "--csv", "{missing}/x.csv"),
+            ("emit-graph", "--d", "3", "--out", "{missing}/g.dot"),
+        ],
+        ids=["char-json", "char-csv", "orbifold-csv", "emit-graph"],
+    )
+    def test_missing_directory(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing"
+        argv = [a.format(missing=missing) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {argv[-1]}: No such file or directory\n"
+        assert not missing.exists()
+
+    def test_cache_is_a_regular_file(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        cache.write_text("not a directory")
+        code, out, err = run(
+            capsys, "--cache", str(cache), "char", "--code", "builtin:h8", "--order", "2"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write cache {cache}: ")
+        assert err.count("\n") == 1
+        assert cache.read_text() == "not a directory"
+
+
+class TestImportDiet:
+    """No command loads dataclasses or inspect (and with it ast, dis and
+    tokenize) unless a bare interpreter already has them."""
+
+    HEAVY = ("dataclasses", "inspect")
+
+    @staticmethod
+    def _heavy_after(*lines):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "\n".join(
+            ["import sys", *lines,
+             f"print(' '.join(m for m in {TestImportDiet.HEAVY!r} if m in sys.modules))"]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        return set(out.stdout.splitlines()[-1].split())
+
+    @staticmethod
+    def _main(*argv):
+        return f"assert __import__('framednet.cli').cli.main({list(argv)!r}) == 0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("framed", "--code", "builtin:golay24"),
+            ("extend", "--system", "z4pow:24", "--subgroup", "builtin:golay24"),
+            ("char", "--code", "builtin:h8", "--route", "code", "--order", "3"),
+            ("char", "--code", "builtin:h8", "--route", "theta", "--order", "3"),
+            ("orbifold-char", "--code", "builtin:h8", "--order", "3"),
+        ],
+        ids=["framed", "extend", "char-code", "char-theta", "orbifold-char"],
+    )
+    def test_command(self, argv):
+        assert self._heavy_after(self._main(*argv)) <= self._heavy_after()
+
+    def test_char_cache_hit(self, tmp_path):
+        argv = ("--cache", str(tmp_path), "char", "--code", "builtin:h8", "--order", "3")
+        self._heavy_after(self._main(*argv))
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert self._heavy_after(self._main(*argv)) <= self._heavy_after()
 
 
 class TestSelftest:

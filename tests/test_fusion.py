@@ -1,10 +1,15 @@
 """Pointed systems, extensions, census arithmetic, involutions, and the
 framed-structure counts.
+
+The rank-one system, group enumeration, the spin power rule and the
+Miyamoto sign involutions have no caller in the program; they live here
+as test helpers.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple, Sequence, Tuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,14 +25,11 @@ from framednet.fusion import (
     fusion_group_disambiguation,
     integer_weight_subgroup,
     ising_decomposition,
-    miyamoto_involution,
     mu_index,
     orbifold_census,
-    rehren_relation_holds,
     root2_power,
     simple_current_extension,
     trivial_system,
-    u14_system,
     z4_dual_code,
     z4_power_system,
 )
@@ -35,6 +37,59 @@ from framednet.fusion import _quotient_basis
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
+
+U14_WEIGHT_TABLE = (Fraction(0), Fraction(1, 8), HALF, Fraction(1, 8))
+
+GROUP_ENUM_LIMIT = 1 << 20
+
+Label = Tuple[Fraction, ...]
+
+
+def u14_system() -> PointedSystem:
+    """The Z4 sector system of the rank-one net, h = (0, 1/8, 1/2, 1/8)."""
+    return PointedSystem((4,), lambda x: U14_WEIGHT_TABLE[x[0] % 4], ambient_length=1)
+
+
+def elements(sys_: PointedSystem):
+    """Every element of a pointed system, as coordinate tuples."""
+    if sys_.size() > GROUP_ENUM_LIMIT:
+        raise FusionError("system too large to enumerate")
+    return product(*(range(o) for o in sys_.orders))
+
+
+def rehren_relation_holds(sys_: PointedSystem, x, n: int) -> bool:
+    """h(n x) = n^2 h(x) mod 1 (the spin power rule for simple currents)."""
+    nx = sys_.identity()
+    for _ in range(n):
+        nx = sys_.add(nx, x)
+    return sys_.h(nx) == (n * n * sys_.weight(x)) % 1
+
+
+class SignedDecomposition(NamedTuple):
+    entries: Tuple[Tuple[Label, int, int], ...]  # (label, multiplicity, sign)
+    is_identity: bool
+
+
+def miyamoto_involution(
+    decomp: Sequence[Tuple[Label, int]], k: int, variant: str
+) -> SignedDecomposition:
+    """Sign map on an Ising-labelled decomposition at tensor position k.
+
+    variant "tau" flips labels with 1/16 at position k; "tau_prime" flips
+    labels with 1/2 there and requires that no label carries 1/16 at k.
+    """
+    if variant not in ("tau", "tau_prime"):
+        raise FusionError(f"unknown involution variant {variant!r}")
+    flip = SIXTEENTH if variant == "tau" else HALF
+    entries = []
+    for label, mult in decomp:
+        if not 0 <= k < len(label):
+            raise FusionError("position k out of range")
+        if variant == "tau_prime" and label[k] == SIXTEENTH:
+            raise FusionError("tau_prime undefined: a label carries 1/16 at k")
+        sign = -1 if label[k] == flip else 1
+        entries.append((tuple(label), mult, sign))
+    return SignedDecomposition(tuple(entries), all(s == 1 for *_, s in entries))
 
 
 class TestPointedSystems:
@@ -60,7 +115,7 @@ class TestPointedSystems:
         def b(x, y):
             return (sys_.h(sys_.add(x, y)) - sys_.h(x) - sys_.h(y)) % 1
 
-        els = list(sys_.elements())
+        els = list(elements(sys_))
         for x in els[:16]:
             for y in els:
                 for z in els[:8]:
@@ -71,7 +126,7 @@ class TestPointedSystems:
     def test_rehren_relation_exhaustive_small(self):
         for d in (1, 2, 3):
             sys_ = z4_power_system(d)
-            for x in sys_.elements():
+            for x in elements(sys_):
                 for n in range(4):
                     assert rehren_relation_holds(sys_, x, n)
 
@@ -159,7 +214,7 @@ class TestExtensions:
         assert r.allowed and r.mu_after == 4
         assert sorted(r.quotient_system.orders) == [2, 2]
         weights = sorted(
-            r.quotient_system.h(x) for x in r.quotient_system.elements()
+            r.quotient_system.h(x) for x in elements(r.quotient_system)
         )
         assert weights == [0, Fraction(1, 4), Fraction(1, 4), HALF]
 
@@ -261,7 +316,7 @@ class TestQuotientAgainstEnumeration:
         r = simple_current_extension(sys_, H)
         if r.allowed:
             assert r.quotient_system.orders == orders
-            got = Counter(r.quotient_system.h(x) for x in r.quotient_system.elements())
+            got = Counter(r.quotient_system.h(x) for x in elements(r.quotient_system))
             assert got == Counter(sys_.h(x) for x in reps)
 
 
@@ -324,6 +379,57 @@ class TestCensus:
         assert Zroot2(1, 1) * Zroot2(1, 1) == Zroot2(3, 2)
         assert root2_power(5) == Zroot2(0, 4)
         assert root2_power(6) == Zroot2(8, 0)
+
+
+def _as_matrix(z):
+    """a + b*sqrt(2) as the matrix of multiplication by it on the basis (1, sqrt(2))."""
+    return ((z.a, 2 * z.b), (z.b, z.a))
+
+
+def _norm(z):
+    return z.a * z.a - 2 * z.b * z.b
+
+
+def _matmul(x, y):
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+    )
+
+
+_ints = st.integers(min_value=-(10 ** 30), max_value=10 ** 30)
+
+
+class TestZroot2:
+    @settings(max_examples=200, derandomize=True)
+    @given(_ints, _ints, _ints, _ints)
+    def test_ring_operations_match_matrices(self, a, b, c, d):
+        x, y = Zroot2(a, b), Zroot2(c, d)
+        assert _as_matrix(x * y) == _matmul(_as_matrix(x), _as_matrix(y))
+        assert x + y == Zroot2(a + c, b + d)
+        assert x.scale(c) == Zroot2(c * a, c * b)
+        assert _norm(x * y) == _norm(x) * _norm(y)
+
+    def test_small_products(self):
+        assert Zroot2(0, 1) * Zroot2(0, 1) == Zroot2(2, 0)
+        assert Zroot2(3, -2) * Zroot2(3, 2) == Zroot2(1, 0)
+        assert Zroot2(1, 1) + Zroot2(-1, 2) == Zroot2(0, 3)
+
+    def test_int_operands_raise(self):
+        z = Zroot2(1, 2)
+        for op in (lambda: 3 * z, lambda: z * 3, lambda: z + 1, lambda: 1 + z):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_not_a_tuple(self):
+        assert Zroot2(1, 2) != (1, 2)
+        with pytest.raises(TypeError):
+            tuple(Zroot2(1, 2))
+
+    def test_equal_values_hash_equal(self):
+        assert Zroot2(4, 0) == root2_power(4)
+        assert hash(Zroot2(4, 0)) == hash(root2_power(4))
+        assert len({Zroot2(2, 1), Zroot2(2, 1), Zroot2(1, 2)}) == 2
+        assert repr(Zroot2(3, -1)) == "3+-1*sqrt2"
 
 
 class TestMiyamoto:
