@@ -4,10 +4,12 @@ content-addressed on-disk result cache.
 Exit codes: 0 success, 1 domain validation failure (a code outside the
 paper's hypotheses, a subgroup without integer weights), 2 input/usage
 error (a missing, unreadable or malformed file, an unknown builtin name,
-a bad flag value such as a dimension below 1 or an `emit-graph --d`
-above GRAPH_D_LIMIT, an output file or cache directory that cannot be
-written).  An exit 2 prints `error: ...` to stderr (after argparse's
-usage line for a bad flag) and nothing to stdout.
+a bad flag value such as a dimension below 1, an `emit-graph --d` above
+GRAPH_D_LIMIT or a `census` or `extend` dimension above POWER_D_LIMIT,
+ragged labels or a multiplicity below 1 in a `framed --decomp` file, an
+output file or cache directory that cannot be written).  An exit 2
+prints `error: ...` to stderr (after argparse's usage line for a bad
+flag) and nothing to stdout.
 
 Only stdlib modules are imported here. Each subcommand imports the
 framednet modules it runs, so a short-lived process that answers from
@@ -29,6 +31,10 @@ CACHE_ENV = "FRAMEDNET_CACHE"
 # emit-graph builds its whole DOT text in memory, and the text grows 4x
 # per step of d: d = 8 is 8.6 MB.
 GRAPH_D_LIMIT = 8
+# census prints 4^(d+1) and extend prints 4^d, and Python refuses to
+# convert an int of more than 4300 digits (its default limit) to text;
+# 4^(d+1) has at most 4300 digits up to this d.
+POWER_D_LIMIT = 7141
 
 
 class InputError(Exception):
@@ -143,7 +149,7 @@ def _cached(args, spec: str, request: dict, compute) -> dict:
     return result
 
 
-def _int_at_least(low: int, text: str) -> int:
+def _int_in(low: int, high: Optional[int], text: str) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -152,22 +158,21 @@ def _int_at_least(low: int, text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be {'nonnegative' if low == 0 else 'positive'}, got {n}"
         )
+    if high is not None and n > high:
+        raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
     return n
 
 
 def _order(text: str) -> int:
-    return _int_at_least(0, text)
+    return _int_in(0, None, text)
 
 
-def _dimension(text: str) -> int:
-    return _int_at_least(1, text)
+def _power_dimension(text: str) -> int:
+    return _int_in(1, POWER_D_LIMIT, text)
 
 
 def _graph_dimension(text: str) -> int:
-    d = _int_at_least(0, text)
-    if d > GRAPH_D_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be at most {GRAPH_D_LIMIT}, got {d}")
-    return d
+    return _int_in(0, GRAPH_D_LIMIT, text)
 
 
 def _parse_fraction(s: str):
@@ -279,7 +284,8 @@ def _cmd_extend(args) -> int:
         raise InputError(f"bad system dimension in {args.system!r}")
     if d < 1:
         raise InputError(f"system dimension must be positive, got {d}")
-    sys_ = fusion.z4_power_system(d)
+    if d > POWER_D_LIMIT:
+        raise InputError(f"system dimension must be at most {POWER_D_LIMIT}, got {d}")
     sub = args.subgroup
     if not sub.startswith("builtin:") and not os.path.exists(sub):
         raise InputError(f"subgroup file not found: {sub}")
@@ -293,14 +299,14 @@ def _cmd_extend(args) -> int:
         raise InputError(str(e))
     if H.length != d:
         raise InputError(f"subgroup length {H.length} != system dimension {d}")
-    result = fusion.simple_current_extension(sys_, H)
+    result = fusion.simple_current_extension(H)
     doc = {
         "allowed": result.allowed,
         "mu_before": str(result.mu_before),
         "mu_after": str(result.mu_after),
         "subgroup_size": 1 << H.log2_size,
-        "quotient_orders": list(result.quotient_system.orders)
-        if result.quotient_system is not None
+        "quotient_orders": list(result.quotient_orders)
+        if result.quotient_orders is not None
         else None,
         "offending": list(result.offending) if result.offending else None,
     }
@@ -328,13 +334,14 @@ def _cmd_census(args) -> int:
 
 def _parse_decomp_file(path: str) -> list:
     """One label per line: comma-separated weights from {0,1/2,1/16},
-    optionally followed by whitespace and a multiplicity (default 1).
-    Returns (label, multiplicity) pairs, each label a tuple of Fractions."""
+    optionally followed by whitespace and a positive multiplicity (default
+    1); a label listed twice has the sum of its multiplicities.  Returns
+    (label, multiplicity) pairs, each label a tuple of Fractions."""
     from .fusion import ISING_LABELS
 
     if not os.path.exists(path):
         raise InputError(f"decomposition file not found: {path}")
-    decomp = []
+    mults: Dict[tuple, int] = {}
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -348,10 +355,14 @@ def _parse_decomp_file(path: str) -> list:
                 mult = int(parts[1]) if len(parts) > 1 else 1
             except ValueError:
                 raise InputError(f"bad multiplicity in {line!r}")
-            decomp.append((label, mult))
-    if not decomp:
+            if mult < 1:
+                raise InputError(f"multiplicity must be positive in {line!r}")
+            if mults and len(label) != len(next(iter(mults))):
+                raise InputError("label lengths differ")
+            mults[label] = mults.get(label, 0) + mult
+    if not mults:
         raise InputError("empty decomposition file")
-    return decomp
+    return list(mults.items())
 
 
 def _cmd_framed(args) -> int:
@@ -440,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json")
 
     sp = sub.add_parser("census", help="orbifold sector census")
-    sp.add_argument("--d", type=_dimension, required=True)
+    sp.add_argument("--d", type=_power_dimension, required=True)
     sp.add_argument("--json")
 
     sp = sub.add_parser("framed", help="framed structure (k, l) of a decomposition")

@@ -292,10 +292,12 @@ def _hat_section(bits: Sequence[int]) -> Vector:
 class Z4Code:
     """Subgroup of Z4^d given by generators.
 
-    Enumeration uses a two-layer binary basis: rows whose mod-2 images are
-    independent, plus an F2 basis of the intersection with 2*Z4^d.  Summing
-    each basis row with coefficients in {0,1} hits every codeword exactly
-    once, so the cardinality is 2^(number of basis rows).
+    The code is kept on a two-layer binary basis: unit rows, whose mod-2
+    images are independent, and two rows, an F2 basis of the intersection
+    with 2*Z4^d that holds the double of every unit row.  Summing each
+    basis row with coefficients in {0,1} hits every codeword exactly once,
+    so the cardinality is 2^(number of basis rows).  Construction,
+    membership and growing the span (`_insert`) share one reduction.
     """
 
     def __init__(self, length: int, generators: Iterable[Sequence[int]]):
@@ -305,76 +307,65 @@ class Z4Code:
                 raise CodeError("generator length mismatch")
         self.length = length
         self.generators: Tuple[Vector, ...] = tuple(gens)
-        self._basis = self._build_basis()
+        self._unit_rows: List[Vector] = []
+        self._unit_pivots: List[int] = []
+        self._two_rows: List[Vector] = []
+        self._two_pivots: List[int] = []
+        for g in gens:
+            self._insert(g)
         self._profile: Dict[Profile, int] | None = None
 
     # -- basis ---------------------------------------------------------
 
-    def _build_basis(self) -> List[Vector]:
-        d = self.length
-        unit_rows: List[List[int]] = []   # lifts with independent mod-2 images
-        unit_pivots: List[int] = []
-        doubled: List[List[int]] = []     # elements of the code inside 2*Z4^d
-        for g in self.generators:
-            r = list(g)
-            for piv, u in zip(unit_pivots, unit_rows):
-                if r[piv] % 2:
-                    r = [(a - b) % 4 for a, b in zip(r, u)]
-            odd = [i for i in range(d) if r[i] % 2]
-            if odd:
-                unit_rows.append(r)
-                unit_pivots.append(odd[0])
-            elif any(r):
-                doubled.append(r)
-        for u in unit_rows:
-            doubled.append([(2 * a) % 4 for a in u])
-        # F2 reduction of the doubled part (entries in {0,2})
-        two_rows: List[List[int]] = []
-        two_pivots: List[int] = []
-        for t in doubled:
-            r = t[:]
-            for piv, u in zip(two_pivots, two_rows):
-                if r[piv]:
-                    r = [(a - b) % 4 for a, b in zip(r, u)]
-            nz = [i for i in range(d) if r[i]]
-            if nz:
-                two_rows.append(r)
-                two_pivots.append(nz[0])
-        basis = [tuple(r) for r in unit_rows] + [tuple(r) for r in two_rows]
-        self._unit_rows = [tuple(r) for r in unit_rows]
-        self._unit_pivots = unit_pivots
-        self._two_rows = [tuple(r) for r in two_rows]
-        self._two_pivots = two_pivots
-        return basis
+    def _reduce(self, v: Sequence[int]) -> List[int]:
+        """v minus unit rows until it is even at every unit pivot, then
+        (if it is even everywhere) minus two rows until it is zero at every
+        two pivot.  The result is zero iff v is in the code."""
+        r = list(v)
+        for piv, u in zip(self._unit_pivots, self._unit_rows):
+            if r[piv] % 2:
+                r = [(a - b) % 4 for a, b in zip(r, u)]
+        if any(a % 2 for a in r):
+            return r
+        for piv, t in zip(self._two_pivots, self._two_rows):
+            if r[piv]:
+                r = [(a - b) % 4 for a, b in zip(r, t)]
+        return r
+
+    def _insert(self, v: Sequence[int]) -> bool:
+        """Grow the code by v; False (and no change) if v was in it."""
+        r = self._reduce(v)
+        odd = next((i for i, a in enumerate(r) if a % 2), None)
+        if odd is not None:
+            self._unit_rows.append(tuple(r))
+            self._unit_pivots.append(odd)
+            self._insert(tuple(2 * a % 4 for a in r))
+            return True
+        nonzero = next((i for i, a in enumerate(r) if a), None)
+        if nonzero is None:
+            return False
+        self._two_rows.append(tuple(r))
+        self._two_pivots.append(nonzero)
+        return True
 
     @property
     def log2_size(self) -> int:
         """The number of basis rows; the code has 2^log2_size words."""
-        return len(self._basis)
+        return len(self._unit_rows) + len(self._two_rows)
 
     def __len__(self) -> int:
         return 1 << self.log2_size
 
     def __contains__(self, v: Sequence[int]) -> bool:
-        r = [int(s) % 4 for s in v]
-        if len(r) != self.length:
-            return False
-        for piv, u in zip(self._unit_pivots, self._unit_rows):
-            if r[piv] % 2:
-                r = [(a - b) % 4 for a, b in zip(r, u)]
-        if any(a % 2 for a in r):
-            return False
-        for piv, u in zip(self._two_pivots, self._two_rows):
-            if r[piv]:
-                r = [(a - b) % 4 for a, b in zip(r, u)]
-        return not any(r)
+        return len(v) == self.length and not any(self._reduce([int(s) % 4 for s in v]))
 
     def codewords(self) -> Iterator[Vector]:
         if len(self) > ENUM_LIMIT:
             raise CodeError("Z4 code too large to enumerate")
-        for coeffs in product((0, 1), repeat=len(self._basis)):
+        basis = self._unit_rows + self._two_rows
+        for coeffs in product((0, 1), repeat=len(basis)):
             w = [0] * self.length
-            for c, g in zip(coeffs, self._basis):
+            for c, g in zip(coeffs, basis):
                 if c:
                     w = [(a + b) % 4 for a, b in zip(w, g)]
             yield tuple(w)

@@ -1,23 +1,21 @@
-"""Pointed sector systems and their bookkeeping.
+"""Sector bookkeeping of the framed nets.
 
-A pointed system is a finite abelian group of sector labels together with
-a conformal-weight map h: G -> Q mod 1.  This module covers simple
-current extension admissibility, mu-index arithmetic, the orbifold
-sector census (with exact statistical dimensions in Z[sqrt(2)]), and
-the two-step framed-structure data (k, l).
+This module covers simple current extension admissibility and index
+arithmetic, the orbifold sector census (with exact statistical
+dimensions in Z[sqrt(2)]), and the two-step framed-structure data (k, l).
 
-The extension of Z4^d by a Z4 code H is pure linear algebra over Z4: the
-weight check reads H's generators and their pairs, the surviving sectors
-H-perp / H are presented as Z4^a x Z2^b from two dual codes, and every
-size is 2^(number of basis rows).  No codeword of H or H-perp is listed.
+The extension of Z4^d by a Z4 code H is linear algebra on the codes'
+two-layer F2 bases: the weight check reads H's generators and their
+pairs, the surviving sectors H-perp / H are presented as Z4^a x Z2^b from
+two dual codes, and every size is 2^(number of basis rows).  No codeword
+of H or H-perp is listed.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .codes import Z4Code, _rref_f2
 
@@ -30,68 +28,18 @@ class FusionError(ValueError):
     pass
 
 
-class PointedSystem(NamedTuple):
-    """Finite abelian group of sector labels with a weight map h mod 1.
-
-    `orders` lists the cyclic factor orders; elements are coordinate
-    tuples.  `weight` returns h(x) reduced mod 1.  `ambient_length` tags
-    Z4-power systems with the underlying coordinate count d.
-    """
-
-    orders: Tuple[int, ...]
-    weight: Callable[[Element], Fraction]
-    ambient_length: Optional[int] = None
-
-    def size(self) -> int:
-        return math.prod(self.orders)
-
-    def identity(self) -> Element:
-        return (0,) * len(self.orders)
-
-    def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % o for a, b, o in zip(x, y, self.orders))
-
-    def neg(self, x: Element) -> Element:
-        return tuple((-a) % o for a, o in zip(x, self.orders))
-
-    def h(self, x: Element) -> Fraction:
-        return self.weight(x) % 1
-
-
-def z4_power_system(d: int) -> PointedSystem:
-    """d-th tensor power: group Z4^d with h(gamma) = sum gamma_i^2 / 8 mod 1."""
-    if d < 1:
-        raise FusionError("d must be positive")
-
-    def weight(x: Element) -> Fraction:
-        return Fraction(sum((a % 4) ** 2 for a in x), 8) % 1
-
-    return PointedSystem((4,) * d, weight, ambient_length=d)
-
-
-def mu_index(sys: PointedSystem) -> int:
-    """Square sum of statistical dimensions; |G| for a pointed system."""
-    return sys.size()
-
-
 # ---------------------------------------------------------------------------
-# subgroups and extensions
+# simple current extensions of Z4^d, where h(x) = sum x_i^2 / 8 mod 1
 
 
-def _is_z4_power(sys: PointedSystem) -> bool:
-    return sys.ambient_length is not None and sys.orders == (4,) * sys.ambient_length
-
-
-def _non_integral_element(sys: PointedSystem, H: Z4Code) -> Optional[Element]:
+def _non_integral_element(H: Z4Code) -> Optional[Element]:
     """An element of H whose weight is not an integer, or None if there is none.
 
-    On Z4^d, h(x) = sum x_i^2 / 8 is a quadratic form with polar form
-    sum x_i y_i / 4, so it vanishes on H iff it vanishes on each generator
-    and the polar form vanishes on each pair of them.  For a pair (g, k)
-    of integral generators with b(g, k) != 0, g + k is the element.
+    h is a quadratic form with polar form b(x, y) = sum x_i y_i / 4, so it
+    vanishes on H iff it vanishes on each generator and b vanishes on each
+    pair of them.  For a pair (g, k) of integral generators with
+    b(g, k) != 0, g + k is the element.
     """
-    if not _is_z4_power(sys) or H.length != sys.ambient_length:
-        raise FusionError("Z4 code does not match the ambient system")
     gens = H.generators
     for g in gens:
         if sum(a * a for a in g) % 8:
@@ -102,172 +50,107 @@ def _non_integral_element(sys: PointedSystem, H: Z4Code) -> Optional[Element]:
     return None
 
 
-def integer_weight_subgroup(sys: PointedSystem, H: Z4Code) -> bool:
-    """True iff h(x) is an integer for every x in the Z4 code H."""
-    return _non_integral_element(sys, H) is None
-
-
-def trivial_system() -> PointedSystem:
-    return PointedSystem((), lambda x: Fraction(0))
-
-
 class ExtensionResult(NamedTuple):
     allowed: bool
     mu_before: int
     mu_after: Fraction
-    quotient_system: Optional[PointedSystem]
+    quotient_orders: Optional[Tuple[int, ...]]
     offending: Optional[Element] = None
 
 
-# ---------------------------------------------------------------------------
-# Z4 linear algebra: dual codes via integer diagonalization
-
-
-def _diagonalize(rows: List[List[int]], d: int) -> Tuple[List[List[int]], List[List[int]]]:
-    """Integer diagonalization A -> U A V by row and column operations.
-
-    Returns (S, V) with S diagonal; V accumulates the column operations,
-    so solution sets of A y = 0 (mod anything) are V * solutions of S.
-    """
-    a = [r[:] for r in rows]
-    m = len(a)
-    v = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_col(src, dst, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    t = 0
-    while t < min(m, d):
-        # find a nonzero pivot of minimal magnitude in the submatrix
-        best = None
-        for i in range(t, m):
-            for j in range(t, d):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        a[t], a[i] = a[i], a[t]
-        if j != t:
-            swap_cols(t, j)
-        done = True
-        for i in range(t + 1, m):
-            q = a[i][t] // a[t][t]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if a[i][t]:
-                done = False
-        for j in range(t + 1, d):
-            q = a[t][j] // a[t][t]
-            if q:
-                add_col(t, j, -q)
-            if a[t][j]:
-                done = False
-        if done:
-            t += 1
-    return a, v
+def _kernel_f2(rows: List[List[int]], d: int) -> List[List[int]]:
+    """A basis of {x in F2^d : r.x = 0 for every row r}."""
+    reduced = _rref_f2(rows)
+    pivots = [r.index(1) for r in reduced]
+    basis = []
+    for f in sorted(set(range(d)) - set(pivots)):
+        x = [0] * d
+        x[f] = 1
+        for p, r in zip(pivots, reduced):
+            x[p] = r[f]
+        basis.append(x)
+    return basis
 
 
 def z4_dual_code(code: Z4Code) -> Z4Code:
-    """Dual under the pairing b(x, y) = sum x_i y_i / 4 mod 1."""
+    """Dual under the pairing b(x, y) = sum x_i y_i / 4 mod 1, over F2.
+
+    With unit rows u and two rows 2t, y = k + 2w (k, w binary) is in the
+    dual iff t.k = 0 (mod 2) and u.k + 2 u.w = 0 (mod 4).  So k runs over
+    the F2 kernel K of the rows t, which span the u mod 2, and each k
+    lifts with a w solving (u mod 2).w = (u.k mod 4) / 2.  The lifts of a
+    basis of K and 2z for a basis of the kernel of (u mod 2) generate the
+    dual.  The u mod 2 are independent, so one reduction of them,
+    augmented by the right-hand sides of every k, solves every system.
+    """
     d = code.length
-    rows = [list(g) for g in code.generators]
-    s, v = _diagonalize(rows, d)
-    gens: List[Element] = []
-    for i in range(d):
-        pivot = s[i][i] if i < len(s) else 0
-        step = 4 // math.gcd(4, abs(pivot))
-        if step < 4:
-            gens.append(tuple((v[r][i] * step) % 4 for r in range(d)))
-    if not gens:
-        gens.append((0,) * d)
-    return Z4Code(d, gens)
-
-
-# ---------------------------------------------------------------------------
-# the quotient H-perp / H
+    units = [[a % 2 for a in u] for u in code._unit_rows]
+    kernel = _kernel_f2([[a // 2 for a in t] for t in code._two_rows], d)
+    sides = [[sum(a * b for a, b in zip(u, k)) % 4 // 2 for k in kernel] for u in code._unit_rows]
+    for row in _rref_f2([u + c for u, c in zip(units, sides)]):
+        p = row.index(1)
+        for k, c in zip(kernel, row[d:]):
+            k[p] += 2 * c
+    gens = kernel + [[2 * a for a in z] for z in _kernel_f2(units, d)]
+    return Z4Code(d, gens or [(0,) * d])
 
 
 def _quotient_basis(H: Z4Code, dual: Z4Code) -> List[Tuple[Element, int]]:
     """Generators of dual / H with their orders, presenting it as Z4^a x Z2^b.
 
     H is isotropic and dual is H-perp.  The quotient Q is killed by 4, so
-    a = dim 2Q and b = dim Q[2] - dim 2Q:
+    a = dim 2Q and b = dim Q[2] - dim 2Q.  One span, a copy of H, grows as
+    the generators are found:
 
     - the order-4 generators are generators x of H-perp whose doubles are
-      independent modulo H; those doubles span 2Q;
+      independent modulo the span; those doubles span 2Q;
     - Q[2] is (H-perp cap B) / H with B = {b : 2b in H}.  Since
       x.(2y) = (2x).y, x is orthogonal to 2*H-perp iff 2x is in
       H-perp-perp = H, so B = (2*H-perp)-perp and H-perp cap B =
-      (H + 2*H-perp)-perp.  The order-2 generators are generators y of
-      this second dual that are independent modulo H plus the doubles
-      above.
+      (H + 2*H-perp)-perp, the dual of the span once every double is in.
+      The order-2 generators are generators y of this second dual that
+      are independent modulo the span.
 
     A relation sum c_i x_i + sum e_j y_j in H forces every c_i even (double
     it), then every e_j zero and every c_i = 0 mod 4, so the presentation
     is faithful; 2a + b = log2 |Q| checks that it is onto.
     """
-    d = H.length
-    doubles = [tuple(2 * a % 4 for a in x) for x in dual.generators]
-    span = list(H.generators)
+    span = Z4Code(H.length, H.generators)
     basis: List[Tuple[Element, int]] = []
-    for x, x2 in zip(dual.generators, doubles):
-        if x2 not in Z4Code(d, span):
-            span.append(x2)
+    for x in dual.generators:
+        if span._insert(tuple(2 * a % 4 for a in x)):
             basis.append((x, 4))
-    two_torsion = z4_dual_code(Z4Code(d, list(H.generators) + doubles))
+    two_torsion = z4_dual_code(span)
     for y in two_torsion.generators:
-        if y not in Z4Code(d, span):
-            span.append(y)
+        if span._insert(y):
             basis.append((y, 2))
     if sum(2 if o == 4 else 1 for _, o in basis) != dual.log2_size - H.log2_size:
         raise FusionError("quotient generators do not present H-perp / H")
     return basis
 
 
-def _quotient_system(sys: PointedSystem, H: Z4Code, dual: Z4Code) -> PointedSystem:
-    if dual.log2_size == H.log2_size:
-        return trivial_system()
-    if H.log2_size == 0:
-        return sys
-    basis = _quotient_basis(H, dual)
-
-    def weight(coords: Element) -> Fraction:
-        x = (0,) * H.length
-        for c, (g, o) in zip(coords, basis):
-            x = tuple((a + (c % o) * b) % 4 for a, b in zip(x, g))
-        return sys.h(x)
-
-    return PointedSystem(tuple(o for _, o in basis), weight)
-
-
-def simple_current_extension(sys: PointedSystem, H: Z4Code) -> ExtensionResult:
-    """Admissibility and index bookkeeping of the extension of sys by H.
+def simple_current_extension(H: Z4Code) -> ExtensionResult:
+    """Admissibility and index bookkeeping of the extension of Z4^d by H,
+    d = H.length.
 
     Allowed iff every element of H has integer weight (spin 1); then the
-    mu-index drops by |H|^2 and the surviving sectors form H-perp / H.
-    Sizes come from basis-row counts, so no codeword is enumerated.
+    mu-index 4^d drops by |H|^2 and the surviving sectors form H-perp / H,
+    reported by the orders of its cyclic factors.  Sizes come from
+    basis-row counts, so no codeword is enumerated.
     """
-    mu_before = mu_index(sys)
-    offending = _non_integral_element(sys, H)
-    quotient = None
+    mu_before = 4 ** H.length
+    offending = _non_integral_element(H)
+    orders = None
     if offending is None:
         dual = z4_dual_code(H)
         for g in H.generators:
             if g not in dual:
                 raise FusionError("integer-weight subgroup is not isotropic")
-        quotient = _quotient_system(sys, H, dual)
+        orders = ()
+        if dual.log2_size != H.log2_size:
+            orders = tuple(o for _, o in _quotient_basis(H, dual))
     mu_after = Fraction(mu_before, 1 << (2 * H.log2_size))
-    return ExtensionResult(offending is None, mu_before, mu_after, quotient, offending)
+    return ExtensionResult(offending is None, mu_before, mu_after, orders, offending)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from framednet import cli, netchar
-from framednet.cli import GRAPH_D_LIMIT, main
+from framednet import cli, codes, fusion, netchar
+from framednet.cli import GRAPH_D_LIMIT, POWER_D_LIMIT, main
 from framednet.qseries import DEN
 
 
@@ -347,6 +347,45 @@ class TestExtend:
         )
         assert code == 2
 
+    def test_z4codes_built_do_not_grow_with_d(self, capsys, tmp_path, monkeypatch):
+        built = []
+        init = codes.Z4Code.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(codes.Z4Code, "__init__", counted)
+        counts = []
+        for d in (8, 50, 200):
+            path = tmp_path / f"h{d}.txt"
+            path.write_text("22" + "0" * (d - 2) + "\n")
+            built.clear()
+            code, out, _ = run(capsys, "extend", "--system", f"z4pow:{d}", "--subgroup", str(path))
+            assert code == 0 and json.loads(out)["quotient_orders"] == [4] * (d - 2) + [2, 2]
+            counts.append(len(built))
+        assert counts[0] == counts[1] == counts[2]
+
+    def test_dimension_at_the_limit(self, capsys, tmp_path):
+        d = POWER_D_LIMIT
+        path = tmp_path / "h.txt"
+        path.write_text("1" + "0" * (d - 1) + "\n")
+        code, out, err = run(capsys, "extend", "--system", f"z4pow:{d}", "--subgroup", str(path))
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["mu_before"] == str(4 ** d) and doc["offending"] == [1] + [0] * (d - 1)
+
+    def test_dimension_above_the_limit_exit_2_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the subgroup was read")
+
+        monkeypatch.setattr(codes, "z4_code_from_text", refuse)
+        monkeypatch.setattr(fusion, "simple_current_extension", refuse)
+        d = POWER_D_LIMIT + 1
+        code, out, err = run(capsys, "extend", "--system", f"z4pow:{d}", "--subgroup", "h.txt")
+        assert code == 2 and out == ""
+        assert err == f"error: system dimension must be at most {POWER_D_LIMIT}, got {d}\n"
+
 
 class TestCensus:
     def test_d1(self, capsys):
@@ -362,6 +401,23 @@ class TestCensus:
         code, out, err = run(capsys, "census", "--d", d)
         assert code == 2 and out == ""
         assert f"error: argument --d: must be positive, got {d}" in err
+
+    def test_d_at_the_limit(self, capsys):
+        # 4^(d+1), the balance, is printed in full
+        code, out, err = run(capsys, "census", "--d", str(POWER_D_LIMIT))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["mu_balance"] == {"a": 4 ** (POWER_D_LIMIT + 1), "b": 0} and doc["balanced"]
+
+    def test_d_above_the_limit_exit_2_before_any_work(self, capsys, monkeypatch):
+        def refuse(d):
+            raise AssertionError("the census was computed")
+
+        monkeypatch.setattr(fusion, "orbifold_census", refuse)
+        d = POWER_D_LIMIT + 1
+        code, out, err = run(capsys, "census", "--d", str(d))
+        assert code == 2 and out == ""
+        assert f"error: argument --d: must be at most {POWER_D_LIMIT}, got {d}" in err
 
 
 class TestFramed:
@@ -406,6 +462,47 @@ class TestFramed:
         path.write_text("0,1/3\n")
         code, _, _ = run(capsys, "framed", "--decomp", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,0\n0,0\n", "decomposition must contain the all-0 label once"),
+            (
+                "0,0\n1/2,1/2\n1/2,1/2 1\n0,1/2\n",
+                "inner label (Fraction(1, 2), Fraction(1, 2)) has multiplicity 2",
+            ),
+        ],
+        ids=["vacuum", "inner"],
+    )
+    def test_repeated_inner_label_sums_multiplicities(self, capsys, tmp_path, text, message):
+        # a label listed twice has multiplicity 2, not two inner labels
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "framed", "--decomp", str(path))
+        assert code == 1 and out == ""
+        assert err == f"validation failure: {message}\n"
+
+    def test_repeated_twisted_label_counts_once(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("0,0 1\n1/16,1/16 3\n1/16,1/16 4\n")
+        code, out, _ = run(capsys, "framed", "--decomp", str(path))
+        assert code == 0
+        assert (json.loads(out)["k"], json.loads(out)["l"]) == (0, 1)
+
+    @pytest.mark.parametrize("mult", ["0", "-3"])
+    def test_nonpositive_multiplicity_exit_2(self, capsys, tmp_path, mult):
+        path = tmp_path / "d.txt"
+        path.write_text(f"0,0 1\n1/16,1/16 {mult}\n")
+        code, out, err = run(capsys, "framed", "--decomp", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: multiplicity must be positive in '1/16,1/16 {mult}'\n"
+
+    def test_ragged_labels_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("0,0 1\n1/16,1/16,0 1\n")
+        code, out, err = run(capsys, "framed", "--decomp", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: label lengths differ\n"
 
 
 class TestEmitGraph:

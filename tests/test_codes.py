@@ -377,8 +377,9 @@ def _numpy_profile(code):
     """
     np = pytest.importorskip("numpy")
     d = code.length
-    m = len(code._basis)
-    rows = np.array(code._basis, dtype=np.uint8).reshape(m, d)
+    basis = code._unit_rows + code._two_rows
+    m = len(basis)
+    rows = np.array(basis, dtype=np.uint8).reshape(m, d)
 
     def binary_sums(part):
         out = np.zeros((1, d), dtype=np.uint8)

@@ -1,39 +1,36 @@
-"""Pointed systems, extensions, census arithmetic, involutions, and the
-framed-structure counts.
+"""Extensions, census arithmetic, involutions, and the framed-structure
+counts.
 
-The rank-one system, group enumeration, the spin power rule and the
-Miyamoto sign involutions have no caller in the program; they live here
-as test helpers.
+The pointed systems (a finite abelian group with a weight map), the
+rank-one system, the spin power rule and the Miyamoto sign involutions
+have no caller in the program; they live here as test helpers, and so
+does the integer diagonalization that checks the Z4 duals.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from framednet.codes import BinaryCode, Z4Code, builtin_code, builtin_delta, delta_code
 from framednet.fusion import (
-    Census,
     FusionError,
-    PointedSystem,
     Zroot2,
+    _non_integral_element,
+    _quotient_basis,
     framed_from_code,
     framed_structure,
     fusion_group_disambiguation,
-    integer_weight_subgroup,
     ising_decomposition,
-    mu_index,
     orbifold_census,
     root2_power,
     simple_current_extension,
-    trivial_system,
     z4_dual_code,
-    z4_power_system,
 )
-from framednet.fusion import _quotient_basis
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -42,12 +39,46 @@ U14_WEIGHT_TABLE = (Fraction(0), Fraction(1, 8), HALF, Fraction(1, 8))
 
 GROUP_ENUM_LIMIT = 1 << 20
 
+Element = Tuple[int, ...]
 Label = Tuple[Fraction, ...]
+
+
+def h(x: Element) -> Fraction:
+    """The weight on Z4^d: sum x_i^2 / 8 mod 1."""
+    return Fraction(sum((a % 4) ** 2 for a in x), 8) % 1
+
+
+class PointedSystem(NamedTuple):
+    """Finite abelian group of sector labels with a weight map h mod 1.
+
+    `orders` lists the cyclic factor orders; elements are coordinate
+    tuples.  `weight` returns h(x), reduced mod 1 by `h`.
+    """
+
+    orders: Tuple[int, ...]
+    weight: Callable[[Element], Fraction]
+
+    def size(self) -> int:
+        return math.prod(self.orders)
+
+    def identity(self) -> Element:
+        return (0,) * len(self.orders)
+
+    def add(self, x: Element, y: Element) -> Element:
+        return tuple((a + b) % o for a, b, o in zip(x, y, self.orders))
+
+    def h(self, x: Element) -> Fraction:
+        return self.weight(x) % 1
+
+
+def z4_power_system(d: int) -> PointedSystem:
+    """d-th tensor power: group Z4^d with h(gamma) = sum gamma_i^2 / 8 mod 1."""
+    return PointedSystem((4,) * d, h)
 
 
 def u14_system() -> PointedSystem:
     """The Z4 sector system of the rank-one net, h = (0, 1/8, 1/2, 1/8)."""
-    return PointedSystem((4,), lambda x: U14_WEIGHT_TABLE[x[0] % 4], ambient_length=1)
+    return PointedSystem((4,), lambda x: U14_WEIGHT_TABLE[x[0] % 4])
 
 
 def elements(sys_: PointedSystem):
@@ -63,6 +94,10 @@ def rehren_relation_holds(sys_: PointedSystem, x, n: int) -> bool:
     for _ in range(n):
         nx = sys_.add(nx, x)
     return sys_.h(nx) == (n * n * sys_.weight(x)) % 1
+
+
+def integral(H: Z4Code) -> bool:
+    return _non_integral_element(H) is None
 
 
 class SignedDecomposition(NamedTuple):
@@ -96,7 +131,7 @@ class TestPointedSystems:
     def test_u14_weights(self):
         sys_ = u14_system()
         assert [sys_.h((j,)) for j in range(4)] == [0, Fraction(1, 8), HALF, Fraction(1, 8)]
-        assert mu_index(sys_) == 4
+        assert sys_.size() == 4
 
     def test_tensor_power_weight_additivity(self):
         sys_ = z4_power_system(2)
@@ -107,7 +142,8 @@ class TestPointedSystems:
         assert sys_.h((2, 0)) == HALF
 
     def test_mu_index_tensor_power(self):
-        assert mu_index(z4_power_system(3)) == 64
+        assert simple_current_extension(Z4Code(3, [(0, 0, 0)])).mu_before == 64
+        assert z4_power_system(3).size() == 64
 
     def test_polarized_form_biadditive(self):
         sys_ = z4_power_system(2)
@@ -133,22 +169,16 @@ class TestPointedSystems:
 
 class TestIntegerWeightSubgroup:
     def test_trivial_subgroup(self):
-        assert integer_weight_subgroup(z4_power_system(2), Z4Code(2, [(0, 0)]))
+        assert integral(Z4Code(2, [(0, 0)]))
 
     def test_h8_delta_all_integral(self):
-        sys_ = z4_power_system(8)
         H = builtin_delta("h8", "L")
-        assert integer_weight_subgroup(sys_, H)
+        assert integral(H)
         # cross-check by explicit enumeration of all 256 codewords
-        assert all(sys_.h(w) == 0 for w in H.codewords())
+        assert all(h(w) == 0 for w in H.codewords())
 
     def test_unit_vector_not_integral(self):
-        sys_ = z4_power_system(3)
-        assert not integer_weight_subgroup(sys_, Z4Code(3, [(1, 0, 0)]))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(FusionError):
-            integer_weight_subgroup(z4_power_system(2), Z4Code(3, [(0, 0, 0)]))
+        assert not integral(Z4Code(3, [(1, 0, 0)]))
 
     @pytest.mark.parametrize(
         "gens, expected",
@@ -165,57 +195,54 @@ class TestIntegerWeightSubgroup:
     )
     def test_generator_check_matches_enumeration(self, gens, expected):
         H = Z4Code(len(gens[0]), gens)
-        sys_ = z4_power_system(H.length)
-        assert all(sys_.h(w) == 0 for w in H.codewords()) is expected
-        assert integer_weight_subgroup(sys_, H) is expected
+        assert all(h(w) == 0 for w in H.codewords()) is expected
+        assert integral(H) is expected
 
 
 class TestExtensions:
     def test_golay_ltilde_holomorphic(self):
-        result = simple_current_extension(
-            z4_power_system(24), builtin_delta("golay24", "Ltilde")
-        )
+        result = simple_current_extension(builtin_delta("golay24", "Ltilde"))
         assert result.allowed
         assert result.mu_before == 4 ** 24
         assert result.mu_after == 1
-        assert result.quotient_system.orders == ()
+        assert result.quotient_orders == ()
 
     def test_h8_holomorphic(self):
-        result = simple_current_extension(z4_power_system(8), builtin_delta("h8", "L"))
+        result = simple_current_extension(builtin_delta("h8", "L"))
         assert result.allowed and result.mu_after == 1
 
     def test_trivial_subgroup_keeps_system(self):
-        sys_ = z4_power_system(2)
-        result = simple_current_extension(sys_, Z4Code(2, [(0, 0)]))
-        assert result.allowed and result.quotient_system is sys_
-        assert result.mu_after == result.mu_before
+        result = simple_current_extension(Z4Code(2, [(0, 0)]))
+        assert result.allowed and result.quotient_orders == (4, 4)
+        assert result.mu_after == result.mu_before == 16
+        assert sorted(h(x) for x in _quotient_words(Z4Code(2, [(0, 0)]))) == sorted(
+            h(x) for x in elements(z4_power_system(2))
+        )
 
     def test_non_isotropic_rejected_with_offender(self):
-        result = simple_current_extension(z4_power_system(2), Z4Code(2, [(1, 0)]))
+        result = simple_current_extension(Z4Code(2, [(1, 0)]))
         assert not result.allowed
         assert result.offending == (1, 0)
 
     def test_offender_of_a_pair_of_integral_generators(self):
         H = Z4Code(16, [(1,) * 8 + (0,) * 8, (0,) * 6 + (1,) * 8 + (0,) * 2])
-        sys_ = z4_power_system(16)
-        assert all(sys_.h(g) == 0 for g in H.generators)
-        r = simple_current_extension(sys_, H)
-        assert not r.allowed and r.quotient_system is None
-        assert r.offending in H and sys_.h(r.offending) != 0
+        assert all(h(g) == 0 for g in H.generators)
+        r = simple_current_extension(H)
+        assert not r.allowed and r.quotient_orders is None
+        assert r.offending in H and h(r.offending) != 0
 
     def test_mu_arithmetic_invariant(self):
         for H in (Z4Code(2, [(2, 2)]), Z4Code(2, [(0, 0)])):
-            r = simple_current_extension(z4_power_system(2), H)
+            r = simple_current_extension(H)
             assert r.mu_after * len(H) ** 2 == r.mu_before
 
     def test_intermediate_quotient(self):
         # H = <(2,2)> inside Z4^2: index-4 quotient with orders (2,2)
-        r = simple_current_extension(z4_power_system(2), Z4Code(2, [(2, 2)]))
+        H = Z4Code(2, [(2, 2)])
+        r = simple_current_extension(H)
         assert r.allowed and r.mu_after == 4
-        assert sorted(r.quotient_system.orders) == [2, 2]
-        weights = sorted(
-            r.quotient_system.h(x) for x in elements(r.quotient_system)
-        )
+        assert sorted(r.quotient_orders) == [2, 2]
+        weights = sorted(h(x) for x in _quotient_words(H))
         assert weights == [0, Fraction(1, 4), Fraction(1, 4), HALF]
 
 
@@ -294,33 +321,130 @@ def _isotropic_codes(draw):
     return Z4Code(d, gens or [(0,) * d])
 
 
+def _combinations(basis, d):
+    """sum c_i g_i over every coefficient vector c with 0 <= c_i < o_i."""
+    for coeffs in product(*(range(o) for _, o in basis)):
+        yield tuple(sum(c * g[i] for c, (g, _) in zip(coeffs, basis)) % 4 for i in range(d))
+
+
+def _quotient_words(H):
+    """One word of H-perp for each coset of H, from the quotient's presentation."""
+    return list(_combinations(_quotient_basis(H, z4_dual_code(H)), H.length))
+
+
 class TestQuotientAgainstEnumeration:
     @settings(deadline=None, derandomize=True, max_examples=100)
     @given(_isotropic_codes())
     @example(Z4Code(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]))  # self-dual, not integral
     @example(builtin_delta("h8", "Ltilde"))  # index 1
     def test_matches_coset_enumeration(self, H):
-        d = H.length
         dual = z4_dual_code(H)
         orders, reps = _oracle_quotient(H)
         basis = _quotient_basis(H, dual)
         assert tuple(o for _, o in basis) == orders
         # faithful: the combinations hit distinct cosets, all inside H-perp
         cosets = set()
-        for coeffs in product(*(range(o) for _, o in basis)):
-            x = tuple(sum(c * g[i] for c, (g, _) in zip(coeffs, basis)) % 4 for i in range(d))
+        weights = Counter()
+        for x in _combinations(basis, H.length):
             assert x in dual
             cosets.add(_coset_minimum(x, H))
+            weights[h(x)] += 1
         assert len(cosets) == len(reps)
-        sys_ = z4_power_system(d)
-        r = simple_current_extension(sys_, H)
+        r = simple_current_extension(H)
         if r.allowed:
-            assert r.quotient_system.orders == orders
-            got = Counter(r.quotient_system.h(x) for x in elements(r.quotient_system))
-            assert got == Counter(sys_.h(x) for x in reps)
+            assert r.quotient_orders == orders
+            assert weights == Counter(h(x) for x in reps)
+
+
+def _diagonalize(rows: List[List[int]], d: int) -> Tuple[List[List[int]], List[List[int]]]:
+    """Integer diagonalization A -> U A V by row and column operations.
+
+    Returns (S, V) with S diagonal; V accumulates the column operations,
+    so solution sets of A y = 0 (mod anything) are V * solutions of S.
+    """
+    a = [r[:] for r in rows]
+    m = len(a)
+    v = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_col(src, dst, c):
+        for r in a:
+            r[dst] += c * r[src]
+        for r in v:
+            r[dst] += c * r[src]
+
+    t = 0
+    while t < min(m, d):
+        # find a nonzero pivot of minimal magnitude in the submatrix
+        best = None
+        for i in range(t, m):
+            for j in range(t, d):
+                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i, j = best
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            swap_cols(t, j)
+        done = True
+        for i in range(t + 1, m):
+            q = a[i][t] // a[t][t]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            if a[i][t]:
+                done = False
+        for j in range(t + 1, d):
+            q = a[t][j] // a[t][t]
+            if q:
+                add_col(t, j, -q)
+            if a[t][j]:
+                done = False
+        if done:
+            t += 1
+    return a, v
+
+
+def _diagonalization_dual(code: Z4Code) -> Z4Code:
+    """The Z4 dual by integer diagonalization of the generator matrix."""
+    d = code.length
+    s, v = _diagonalize([list(g) for g in code.generators], d)
+    gens = []
+    for i in range(d):
+        pivot = s[i][i] if i < len(s) else 0
+        step = 4 // math.gcd(4, abs(pivot))
+        if step < 4:
+            gens.append(tuple((v[r][i] * step) % 4 for r in range(d)))
+    return Z4Code(d, gens or [(0,) * d])
+
+
+@st.composite
+def _z4_codes(draw):
+    """A random Z4 code of length d <= 9; about half its rows are doubled."""
+    d = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d), max_size=7))
+    doubled = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    gens = [[2 * a % 4 for a in r] if twice else r for r, twice in zip(rows, doubled)]
+    return Z4Code(d, gens or [(0,) * d])
 
 
 class TestDualCodes:
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(_z4_codes())
+    @example(Z4Code(4, [(2, 2, 0, 0), (0, 2, 2, 0)]))  # only doubled rows
+    @example(Z4Code(3, [(1, 2, 3), (0, 0, 2)]))
+    @example(Z4Code(2, [(1, 0), (0, 1)]))  # the whole of Z4^2
+    def test_matches_diagonalization(self, code):
+        dual, oracle = z4_dual_code(code), _diagonalization_dual(code)
+        assert dual.log2_size == oracle.log2_size == 2 * code.length - code.log2_size
+        assert all(g in oracle for g in dual.generators)
+        assert all(g in dual for g in oracle.generators)
+
     def test_dual_pairing_vanishes(self):
         H = builtin_delta("h8", "Ltilde")
         dual = z4_dual_code(H)
@@ -592,9 +716,3 @@ class TestFramedFromCode:
         assert (fs.num_factors, fs.k, fs.l) == (48, *kl)
         assert len(fs.sign_matrix) == fs.l
         assert fs.k + fs.l == fs.num_factors
-
-
-class TestTrivialSystem:
-    def test_trivial(self):
-        sys_ = trivial_system()
-        assert mu_index(sys_) == 1 and sys_.h(()) == 0
