@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 domain validation failure (a code outside the
 paper's hypotheses, a subgroup without integer weights), 2 input/usage
 error (a missing, unreadable or malformed file, an unknown builtin name,
 a bad flag value such as a dimension below 1, an `emit-graph --d` above
-GRAPH_D_LIMIT or a `census` or `extend` dimension above POWER_D_LIMIT,
+GRAPH_D_LIMIT, a `census` dimension above POWER_D_LIMIT or an `extend`
+dimension above EXTEND_D_LIMIT,
 ragged labels or a multiplicity below 1 in a `framed --decomp` file, an
 output file or cache directory that cannot be written).  An exit 2
 prints `error: ...` to stderr (after argparse's usage line for a bad
@@ -29,12 +30,16 @@ from typing import Dict, List, Optional
 
 CACHE_ENV = "FRAMEDNET_CACHE"
 # emit-graph builds its whole DOT text in memory, and the text grows 4x
-# per step of d: d = 8 is 8.6 MB.
+# per step of d: d = 8 is 6.4 MB.
 GRAPH_D_LIMIT = 8
-# census prints 4^(d+1) and extend prints 4^d, and Python refuses to
-# convert an int of more than 4300 digits (its default limit) to text;
-# 4^(d+1) has at most 4300 digits up to this d.
+# census prints 4^(d+1), and Python refuses to convert an int of more than
+# 4300 digits (its default limit) to text; 4^(d+1) has at most 4300 digits
+# up to this d.
 POWER_D_LIMIT = 7141
+# extend holds about 2d dual generators of d symbols each, so its time and
+# memory grow as d^2: with one generator 22 0...0, d = 1600 took 5.1 s and
+# 175 MB, and d = 3200 took 24 s and 644 MB (2-core Xeon, Python 3.11.7).
+EXTEND_D_LIMIT = 1600
 
 
 class InputError(Exception):
@@ -284,8 +289,8 @@ def _cmd_extend(args) -> int:
         raise InputError(f"bad system dimension in {args.system!r}")
     if d < 1:
         raise InputError(f"system dimension must be positive, got {d}")
-    if d > POWER_D_LIMIT:
-        raise InputError(f"system dimension must be at most {POWER_D_LIMIT}, got {d}")
+    if d > EXTEND_D_LIMIT:
+        raise InputError(f"system dimension must be at most {EXTEND_D_LIMIT}, got {d}")
     sub = args.subgroup
     if not sub.startswith("builtin:") and not os.path.exists(sub):
         raise InputError(f"subgroup file not found: {sub}")
@@ -318,13 +323,15 @@ def _cmd_census(args) -> int:
     from . import fusion
 
     c = fusion.orbifold_census(args.d)
+    # sqrt(2)^d as a + b*sqrt(2)
+    half = 1 << c.d // 2
     doc = {
         "d": c.d,
         "dim2": c.dim2_count,
         "dim1": c.dim1_count,
         "dimRoot2Pow": c.twisted_count,
-        "twisted_dim": {"a": c.twisted_dim.a, "b": c.twisted_dim.b},
-        "mu_balance": {"a": c.mu_balance.a, "b": c.mu_balance.b},
+        "twisted_dim": {"a": 0, "b": half} if c.d % 2 else {"a": half, "b": 0},
+        "mu_balance": {"a": c.mu_balance, "b": 0},
         "balanced": c.balanced,
         "total_sectors": c.total_sectors(),
     }
@@ -392,7 +399,7 @@ def _cmd_framed(args) -> int:
 
 
 def _cmd_emit_graph(args) -> int:
-    from .netchar import emit_branching_graph
+    from .fusion import emit_branching_graph
 
     text = emit_branching_graph(args.d) + "\n"
     if args.out:

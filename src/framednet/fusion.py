@@ -1,8 +1,12 @@
 """Sector bookkeeping of the framed nets.
 
 This module covers simple current extension admissibility and index
-arithmetic, the orbifold sector census (with exact statistical
-dimensions in Z[sqrt(2)]), and the two-step framed-structure data (k, l).
+arithmetic, the orbifold's sectors, and the two-step framed-structure
+data (k, l).
+
+The orbifold's sectors are read off x -> -x on Z4^d: the census counts
+them in integers (the squared dimensions 4, 1 and 2^d are integers), and
+the branching graph draws each sector's edges from its label.
 
 The extension of Z4^d by a Z4 code H is linear algebra on the codes'
 two-layer F2 bases: the weight check reads H's generators and their
@@ -182,66 +186,18 @@ def fusion_group_disambiguation(weights: Sequence) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic in Z[sqrt 2] and the orbifold sector census
-
-
-class Zroot2:
-    """a + b*sqrt(2) with integer a, b.
-
-    Values are compared and hashed by (a, b) and must not be mutated.
-    Only Zroot2 values add and multiply; an int scales through `scale`.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int) -> None:
-        self.a = a
-        self.b = b
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Zroot2):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __add__(self, other: Zroot2) -> Zroot2:
-        if not isinstance(other, Zroot2):
-            return NotImplemented
-        return Zroot2(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other: Zroot2) -> Zroot2:
-        if not isinstance(other, Zroot2):
-            return NotImplemented
-        return Zroot2(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def scale(self, n: int) -> Zroot2:
-        return Zroot2(n * self.a, n * self.b)
-
-    def __repr__(self) -> str:
-        return f"{self.a}+{self.b}*sqrt2"
-
-
-def root2_power(k: int) -> Zroot2:
-    """sqrt(2)^k as an exact Zroot2 value (k >= 0)."""
-    if k % 2 == 0:
-        return Zroot2(1 << (k // 2), 0)
-    return Zroot2(0, 1 << ((k - 1) // 2))
+# the orbifold's sectors, read off x -> -x on Z4^d
 
 
 class Census(NamedTuple):
+    """Sector counts of the order-2 orbifold at rank d, by dimension 2, 1
+    and sqrt(2)^d, with mu_balance the sum of their squared dimensions."""
+
     d: int
     dim2_count: int
     dim1_count: int
     twisted_count: int
-    dim2: Zroot2
-    dim1: Zroot2
-    twisted_dim: Zroot2
-    mu_balance: Zroot2
+    mu_balance: int
     balanced: bool
 
     def total_sectors(self) -> int:
@@ -251,31 +207,62 @@ class Census(NamedTuple):
 def orbifold_census(d: int) -> Census:
     """Sector census of the order-2 orbifold of the rank-d lattice net.
 
-    4^(d-1) sectors of dimension 2, 4^d of dimension 1, 2^(d+1) of
-    dimension 2^(d/2); the squared dimensions must sum to 4^(d+1).
+    The orbifold acts on the sectors Z4^d of the lattice net by x -> -x,
+    which fixes the 2^d words in {0, 2}^d.  Each fixed word splits into two
+    sectors (+-) of dimension 1, each orbit {x, -x} of the other words is
+    one sector of dimension 2, and the twisted sectors are +- over 2^d
+    solitons, of dimension sqrt(2)^d.  The squared dimensions 4, 1 and 2^d
+    must sum to 4^(d+1), the index rule mu(A^sigma) = 4 mu(A).
     """
     if d < 1:
         raise FusionError("d must be positive")
-    dim2 = Zroot2(2, 0)
-    dim1 = Zroot2(1, 0)
-    twisted = root2_power(d)
-    counts = (4 ** (d - 1), 4 ** d, 2 ** (d + 1))
-    mu = (
-        (dim2 * dim2).scale(counts[0])
-        + (dim1 * dim1).scale(counts[1])
-        + (twisted * twisted).scale(counts[2])
-    )
-    return Census(
-        d,
-        counts[0],
-        counts[1],
-        counts[2],
-        dim2,
-        dim1,
-        twisted,
-        mu,
-        mu == Zroot2(4 ** (d + 1), 0),
-    )
+    fixed = 2 ** d
+    dim2, dim1, twisted = (4 ** d - fixed) // 2, 2 * fixed, 2 * fixed
+    mu = 4 * dim2 + dim1 + fixed * twisted
+    return Census(d, dim2, dim1, twisted, mu, mu == 4 ** (d + 1))
+
+
+def emit_branching_graph(d: int) -> str:
+    """DOT graph of the orbifold's sectors at rank d over the sectors of
+    the lattice net they induce to; empty at d = 0.
+
+    Nodes follow orbifold_census: the words x of Z4^d (up, "A:x", written
+    as base-4 numerals, so up<i> is the word numbered i), the solitons chi
+    in Z2^d (sol, "S:chi"), and below them the sectors.  Every edge is read
+    off a sector's label: the orbit {x, -x} goes to up x and up -x, a fixed
+    word with a sign (x, +-) to up x, and a twisted sector (chi, +-) to
+    the soliton chi.
+    """
+    if d < 0:
+        raise FusionError("d must be nonnegative")
+    lines = ["digraph branching {", "  rankdir=BT;"]
+    if d:
+        words = ["".join(w) for w in product("0123", repeat=d)]
+        solitons = ["".join(s) for s in product("01", repeat=d)]
+        # -a mod 4 flips the high bit of a 2-bit digit a iff its low bit is set
+        low = int("01" * d, 2)
+        negated = [(i, i ^ (i & low) << 1) for i in range(len(words))]
+        orbits = [(i, j) for i, j in negated if i < j]
+        signed = [(i, s) for i, j in negated if i == j for s in "+-"]
+        twisted = [(c, s) for c in range(len(solitons)) for s in "+-"]
+        lines += [f'  up{i} [shape=circle, label="A:{w}"];' for i, w in enumerate(words)]
+        lines += [f'  sol{c} [shape=diamond, label="S:{s}"];' for c, s in enumerate(solitons)]
+        lines += [
+            f'  two{n} [shape=box, label="dim2:{words[i]},{words[j]}"];'
+            for n, (i, j) in enumerate(orbits)
+        ]
+        lines += [
+            f'  one{n} [shape=box, label="dim1:{words[i]}{s}"];' for n, (i, s) in enumerate(signed)
+        ]
+        lines += [
+            f'  tw{n} [shape=box, label="tw:{solitons[c]}{s}"];' for n, (c, s) in enumerate(twisted)
+        ]
+        for n, (i, j) in enumerate(orbits):
+            lines += [f"  two{n} -> up{i};", f"  two{n} -> up{j};"]
+        lines += [f"  one{n} -> up{i};" for n, (i, _) in enumerate(signed)]
+        lines += [f"  tw{n} -> sol{c};" for n, (c, _) in enumerate(twisted)]
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -255,53 +255,3 @@ def theta_over_eta(code: BinaryCode, variant: str, steps: int = 5) -> NetCharact
     _assert_vacuum(series, d)
     return NetCharacter(series, Fraction(d))
 
-
-# ---------------------------------------------------------------------------
-# induction-restriction graph rendering
-
-
-def emit_branching_graph(d: int) -> str:
-    """DOT rendering of the sector census of the order-2 orbifold at rank d.
-
-    Node and edge counts follow the census formulas: 4^(d-1) two-dimensional
-    and 4^d one-dimensional sectors below, the 4^d sectors of the extension
-    above, 2^(d+1) twisted sectors attached to 2^d soliton nodes.  Incidence
-    within each block follows the standard induction-restriction pattern.
-    The edge indices are schematic: they follow that pattern by index
-    arithmetic, not from the census, so only the node and edge counts are
-    derived.
-    """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    lines = ["digraph branching {", "  rankdir=BT;"]
-    if d == 0:
-        lines.append("}")
-        return "\n".join(lines)
-    n_upper = 4 ** d
-    n_dim2 = 4 ** (d - 1)
-    n_dim1 = 4 ** d
-    n_tw = 2 ** (d + 1)
-    n_sol = 2 ** d
-    for i in range(n_upper):
-        lines.append(f'  up{i} [shape=circle, label="A:{i}"];')
-    for i in range(n_sol):
-        lines.append(f'  sol{i} [shape=diamond, label="S:{i}"];')
-    for i in range(n_dim2):
-        lines.append(f'  two{i} [shape=box, label="dim2:{i}"];')
-    for i in range(n_dim1):
-        lines.append(f'  one{i} [shape=box, label="dim1:{i}"];')
-    for i in range(n_tw):
-        lines.append(f'  tw{i} [shape=box, label="tw:{i}"];')
-    # each dim-2 sector induces to a sigma-orbit pair of extension sectors
-    for i in range(n_dim2):
-        lines.append(f"  two{i} -> up{2 * i};")
-        lines.append(f"  two{i} -> up{2 * i + 1};")
-    # each dim-1 sector induces to a single extension sector (4 per block)
-    for i in range(n_dim1):
-        lines.append(f"  one{i} -> up{i % n_upper};")
-    # twisted sectors pair up onto common soliton nodes
-    for i in range(n_tw):
-        lines.append(f"  tw{i} -> sol{i // 2};")
-    lines.append("}")
-    return "\n".join(lines)
-

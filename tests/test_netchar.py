@@ -1,19 +1,22 @@
-"""Building-block characters and the two lattice-net character routes.
+"""Building-block characters, the two lattice-net character routes, and
+the branching graph of the orbifold's sectors (fusion.emit_branching_graph).
 
 The independent oracles here are partition-style DPs for the c = 1/2
 characters and a brute-force lattice-vector enumeration for the rank-8
 theta series.
 """
 
+import re
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from framednet.codes import builtin_code, builtin_delta
+from framednet.fusion import emit_branching_graph, orbifold_census
 from framednet.netchar import (
     NetCharacter,
-    emit_branching_graph,
     frame_char,
     ising_branching_mismatch,
     ising_char,
@@ -207,22 +210,42 @@ class TestSumOfProducts:
         assert got == QSeries(naive, KERNEL_ORDER)
 
 
+def parse_graph(text):
+    """The nodes {name: (shape, label)} and the edges [(tail, head)] of a DOT text."""
+    nodes, edges = {}, []
+    for line in text.splitlines()[2:-1]:
+        m = re.fullmatch(r'  (\w+) \[shape=(\w+), label="([^"]*)"\];', line)
+        if m:
+            nodes[m[1]] = (m[2], m[3])
+        else:
+            tail, head = re.fullmatch(r"  (\w+) -> (\w+);", line).groups()
+            edges.append((tail, head))
+    return nodes, edges
+
+
 def graph_counts(d):
-    """Node/edge counts of emit_branching_graph, from the census formulas."""
+    """Node counts by shape and label kind, from the census (none at d = 0)."""
     if d == 0:
-        return {"lower": 0, "upper": 0, "soliton": 0, "edges": 0}
+        return {}
+    c = orbifold_census(d)
     return {
-        "lower": 4 ** (d - 1) + 4 ** d + 2 ** (d + 1),
-        "upper": 4 ** d,
-        "soliton": 2 ** d,
-        "edges": 2 * 4 ** (d - 1) + 4 ** d + 2 ** (d + 1),
+        ("circle", "A"): 4 ** d,
+        ("diamond", "S"): 2 ** d,
+        ("box", "dim2"): c.dim2_count,
+        ("box", "dim1"): c.dim1_count,
+        ("box", "tw"): c.twisted_count,
     }
 
 
 class TestBranchingGraph:
     def test_d1_counts(self):
-        counts = graph_counts(1)
-        assert counts == {"lower": 9, "upper": 4, "soliton": 2, "edges": 10}
+        assert graph_counts(1) == {
+            ("circle", "A"): 4,
+            ("diamond", "S"): 2,
+            ("box", "dim2"): 1,
+            ("box", "dim1"): 4,
+            ("box", "tw"): 4,
+        }
         text = emit_branching_graph(1)
         assert text.startswith("digraph")
         assert text.count("shape=box") == 9
@@ -230,12 +253,49 @@ class TestBranchingGraph:
         assert text.count("shape=diamond") == 2
         assert text.count("->") == 10
 
+    def test_d1_edges(self):
+        _, edges = parse_graph(emit_branching_graph(1))
+        assert edges[:2] == [("two0", "up1"), ("two0", "up3")]
+        assert {t: h for t, h in edges if t.startswith("one")} == {
+            "one0": "up0", "one1": "up0", "one2": "up2", "one3": "up2",
+        }
+
     def test_d2_counts_match_formulas(self):
-        counts = graph_counts(2)
-        assert counts["lower"] == 4 + 16 + 8
         text = emit_branching_graph(2)
-        assert text.count("shape=box") == counts["lower"]
-        assert text.count("->") == counts["edges"]
+        assert text.count("shape=box") == 6 + 8 + 8
+        assert text.count("->") == 2 * 6 + 8 + 8
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_nodes_match_the_census(self, d):
+        nodes, edges = parse_graph(emit_branching_graph(d))
+        kinds = Counter((shape, label.split(":")[0]) for shape, label in nodes.values())
+        counts = graph_counts(d)
+        assert kinds == counts
+        assert {n for edge in edges for n in edge} <= set(nodes)
+        lower = [counts.get(("box", k), 0) for k in ("dim2", "dim1", "tw")]
+        assert len(edges) == 2 * lower[0] + lower[1] + lower[2]
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_edges_follow_negation(self, d):
+        # a word x = -x is reached from two dim-1 sectors; any other word from
+        # one dim-2 sector, whose other edge goes to -x
+        nodes, edges = parse_graph(emit_branching_graph(d))
+        up = {nodes[n][1][2:]: n for n in nodes if n.startswith("up")}
+        tails, heads = defaultdict(list), defaultdict(list)
+        for t, h in edges:
+            tails[h].append(t)
+            heads[t].append(h)
+        for x, n in up.items():
+            kinds = sorted(nodes[t][1].split(":")[0] for t in tails[n])
+            minus_x = x.translate(str.maketrans("13", "31"))
+            if minus_x == x:
+                assert kinds == ["dim1", "dim1"]
+            else:
+                assert kinds == ["dim2"]
+                assert sorted(heads[tails[n][0]]) == sorted([n, up[minus_x]])
+        for n, (shape, _) in nodes.items():
+            if shape == "diamond":
+                assert [nodes[t][1].split(":")[0] for t in tails[n]] == ["tw", "tw"]
 
     def test_empty_graph(self):
         assert emit_branching_graph(0) == "digraph branching {\n  rankdir=BT;\n}"
