@@ -55,6 +55,20 @@ def _check_code_file(spec: str) -> None:
         raise InputError(f"code file not found: {spec}")
 
 
+def _read_text(path: str, kind: str) -> str:
+    """The text of an input file; a missing, unreadable or non-UTF-8 file
+    is bad input."""
+    if not os.path.exists(path):
+        raise InputError(f"{kind} file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise InputError(str(e))
+    except UnicodeDecodeError as e:
+        raise InputError(f"{kind} file is not UTF-8 text: {e}")
+
+
 def _load_code(spec: str):
     """The `codes.BinaryCode` named by a builtin:<name> spec or a file path.
 
@@ -68,6 +82,8 @@ def _load_code(spec: str):
         return load_code(spec)
     except (OSError, CodeError) as e:
         raise InputError(str(e))
+    except UnicodeDecodeError as e:
+        raise InputError(f"code file is not UTF-8 text: {e}")
 
 
 def _code_identity(spec: str) -> str:
@@ -132,6 +148,8 @@ def _cached(args, spec: str, request: dict, compute) -> dict:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict) or "result" not in doc:
+                raise ValueError("not a cache entry")
             if doc.get("_manifest") == key_doc:
                 return doc["result"]
             raise ValueError("manifest mismatch")
@@ -292,15 +310,12 @@ def _cmd_extend(args) -> int:
     if d > EXTEND_D_LIMIT:
         raise InputError(f"system dimension must be at most {EXTEND_D_LIMIT}, got {d}")
     sub = args.subgroup
-    if not sub.startswith("builtin:") and not os.path.exists(sub):
-        raise InputError(f"subgroup file not found: {sub}")
     try:
         if sub.startswith("builtin:"):
             H = codes.builtin_delta(sub.split(":", 1)[1], args.variant)
         else:
-            with open(sub) as fh:
-                H = codes.z4_code_from_text(fh.read())
-    except (OSError, codes.CodeError) as e:
+            H = codes.z4_code_from_text(_read_text(sub, "subgroup"))
+    except codes.CodeError as e:
         raise InputError(str(e))
     if H.length != d:
         raise InputError(f"subgroup length {H.length} != system dimension {d}")
@@ -346,27 +361,24 @@ def _parse_decomp_file(path: str) -> list:
     (label, multiplicity) pairs, each label a tuple of Fractions."""
     from .fusion import ISING_LABELS
 
-    if not os.path.exists(path):
-        raise InputError(f"decomposition file not found: {path}")
     mults: Dict[tuple, int] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            label = tuple(_parse_fraction(t) for t in parts[0].split(","))
-            if any(e not in ISING_LABELS for e in label):
-                raise InputError(f"bad label entry in {line!r}")
-            try:
-                mult = int(parts[1]) if len(parts) > 1 else 1
-            except ValueError:
-                raise InputError(f"bad multiplicity in {line!r}")
-            if mult < 1:
-                raise InputError(f"multiplicity must be positive in {line!r}")
-            if mults and len(label) != len(next(iter(mults))):
-                raise InputError("label lengths differ")
-            mults[label] = mults.get(label, 0) + mult
+    for line in _read_text(path, "decomposition").split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        label = tuple(_parse_fraction(t) for t in parts[0].split(","))
+        if any(e not in ISING_LABELS for e in label):
+            raise InputError(f"bad label entry in {line!r}")
+        try:
+            mult = int(parts[1]) if len(parts) > 1 else 1
+        except ValueError:
+            raise InputError(f"bad multiplicity in {line!r}")
+        if mult < 1:
+            raise InputError(f"multiplicity must be positive in {line!r}")
+        if mults and len(label) != len(next(iter(mults))):
+            raise InputError("label lengths differ")
+        mults[label] = mults.get(label, 0) + mult
     if not mults:
         raise InputError("empty decomposition file")
     return list(mults.items())

@@ -266,7 +266,7 @@ def load_code(spec: str) -> BinaryCode:
     """Resolve ``builtin:<name>`` or a file path to a BinaryCode."""
     if spec.startswith("builtin:"):
         return builtin_code(spec.split(":", 1)[1])
-    with open(spec) as fh:
+    with open(spec, encoding="utf-8") as fh:
         return binary_code_from_text(fh.read())
 
 

@@ -114,9 +114,15 @@ def _sum_of_products(
 ) -> QSeries:
     """Sum of count * prod_i bases[i]**k_i over the entries (k, count).
 
-    Equal bases are merged first, so each distinct series is raised to each
-    exponent once; an entry raising a zero base to a positive power adds
-    nothing.  Every term must be exact below `order`, where the sum is cut.
+    Equal bases are merged first; an entry raising a zero base to a positive
+    power adds nothing.  The powers of each distinct base come from one
+    memoized ladder: power k is power k // 2 squared, times the base when k
+    is odd.  So every exponent of a base reuses the squarings of the others,
+    and an odd step multiplies by the sparse base rather than by a dense
+    power.  A product's truncation order is its lowest exponent plus the
+    smaller relative precision of its factors, so each power has the order
+    that `QSeries.__pow__` would give it.  Every term must be exact below
+    `order`, where the sum is cut.
     """
     distinct: Dict[QSeries, int] = {}
     slot = [distinct.setdefault(b, len(distinct)) for b in bases]
@@ -128,7 +134,16 @@ def _sum_of_products(
             ks[i] += k
         if not any(k and series[i].is_zero() for i, k in enumerate(ks)):
             merged[tuple(ks)] = merged.get(tuple(ks), 0) + count
-    power = lru_cache(maxsize=None)(lambda i, k: series[i] ** k)
+
+    @lru_cache(maxsize=None)
+    def power(i: int, k: int) -> QSeries:
+        if k == 1:
+            return series[i]
+        if k % 2:
+            return power(i, k - 1) * series[i]
+        half = power(i, k // 2)
+        return half * half
+
     total = QSeries.zero(order)
     for ks, count in merged.items():
         factors = [power(i, k) for i, k in enumerate(ks) if k]

@@ -22,6 +22,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# What Python says of a file that starts with the byte 0xff.
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def write_input(path, content):
+    """Write text, or raw bytes for a file that is not UTF-8; return the path."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return path
+
+
 class TestValidateCode:
     def test_builtin_h8(self, capsys):
         code, out, _ = run(capsys, "validate-code", "--code", "builtin:h8")
@@ -144,8 +157,9 @@ class TestMalformedInput:
             ("1100\n110\n", "generator lengths differ"),
             ("", "empty code file"),
             ("11x0\n", "bad code line '11x0'"),
+            (b"\xff\n", f"code file is not UTF-8 text: {NOT_UTF8}"),
         ],
-        ids=["symbol", "ragged", "empty", "not-a-digit"],
+        ids=["symbol", "ragged", "empty", "not-a-digit", "not-utf8"],
     )
     @pytest.mark.parametrize(
         "argv",
@@ -160,8 +174,7 @@ class TestMalformedInput:
         ids=["validate-code", "char-code", "char-theta", "char-cached", "orbifold-char", "framed"],
     )
     def test_code_file(self, capsys, tmp_path, text, message, argv):
-        path = tmp_path / "c.txt"
-        path.write_text(text)
+        path = write_input(tmp_path / "c.txt", text)
         argv = [str(tmp_path / "cache") if a == "CACHE" else a for a in argv]
         code, out, err = run(capsys, *argv, "--code", str(path))
         assert code == 2 and out == ""
@@ -179,12 +192,12 @@ class TestMalformedInput:
             ("0125\n", "symbol out of range in '0125'"),
             ("2200\n220\n", "generator lengths differ"),
             ("", "empty code file"),
+            (b"\xff\n", f"subgroup file is not UTF-8 text: {NOT_UTF8}"),
         ],
-        ids=["symbol", "ragged", "empty"],
+        ids=["symbol", "ragged", "empty", "not-utf8"],
     )
     def test_subgroup_file(self, capsys, tmp_path, text, message):
-        path = tmp_path / "h.txt"
-        path.write_text(text)
+        path = write_input(tmp_path / "h.txt", text)
         code, out, err = run(capsys, "extend", "--system", "z4pow:4", "--subgroup", str(path))
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
@@ -215,12 +228,15 @@ class TestCache:
         args = ["--cache", str(cache), "char", "--code", "builtin:h8", "--order", "3"]
         _, out1, _ = run(capsys, *args)
         entry = next(cache.glob("*.json"))
-        entry.write_text("{ not json")
-        code, out2, err = run(capsys, *args)
-        assert code == 0 and out2 == out1
-        assert "warning" in err
-        # the entry is rewritten and valid again
-        json.loads(entry.read_text())
+        manifest = json.loads(entry.read_text())["_manifest"]
+        # truncated JSON, JSON that is not an object, an object without a result
+        for corrupt in ["{ not json", "[1, 2]", json.dumps({"_manifest": manifest})]:
+            entry.write_text(corrupt)
+            code, out2, err = run(capsys, *args)
+            assert code == 0 and out2 == out1, corrupt
+            assert err.startswith("warning: ignoring unreadable cache entry"), corrupt
+            # the entry is rewritten and valid again
+            assert json.loads(entry.read_text())["_manifest"] == manifest
 
     def test_no_temp_file_left(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -476,10 +492,19 @@ class TestFramed:
         assert code == 2 and "exactly one" in err
 
     def test_bad_label_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "d.txt"
-        path.write_text("0,1/3\n")
-        code, _, _ = run(capsys, "framed", "--decomp", str(path))
-        assert code == 2
+        for content, message in [
+            ("0,1/3\n", "bad label entry in '0,1/3'"),
+            (b"\xff\n", f"decomposition file is not UTF-8 text: {NOT_UTF8}"),
+        ]:
+            path = write_input(tmp_path / "d.txt", content)
+            code, out, err = run(capsys, "framed", "--decomp", str(path))
+            assert code == 2 and out == ""
+            assert err == f"error: {message}\n"
+
+    def test_decomp_path_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "framed", "--decomp", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "text, message",

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from framednet.qseries import (
     DEN,
+    PRODUCT_KINDS,
     GridError,
     QSeries,
     eta_power,
@@ -264,6 +265,23 @@ class TestProductForm:
             assert got.coeff(Fraction(n2, 2)) == c
         for e, c in [(Fraction(1, 2), 24), (1, 300), (Fraction(3, 2), 2624)]:
             assert got.coeff(e) == c
+
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    @pytest.mark.parametrize("power", [-24, -8, -1, 0, 1, 3, 8])
+    @pytest.mark.parametrize(
+        # at or below 0, off the step grid, and about 30 q-steps deep
+        "order", [-1, 0, Fraction(1, 48), Fraction(37, 48), 30, Fraction(61, 2)], ids=str
+    )
+    def test_matches_binomial_oracle(self, kind, power, order):
+        sign = -1 if kind.startswith("1-") else 1
+        half = kind.endswith("{n-1/2}")
+        order_num = to_num(order)
+        # largest doubled exponent below the order
+        n2_max = (order_num - 1) // (DEN // 2)
+        exps = range(1 if half else 2, n2_max + 1, 2)
+        oracle = binomial_product_coeffs(sign, power, exps, n2_max)
+        expected = QSeries({n2 * (DEN // 2): c for n2, c in oracle.items()}, order_num)
+        assert product_form(kind, power, order) == expected
 
     def test_power_additivity_random(self):
         rng = random.Random(3)
