@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import Dict, List, Optional
 
 CACHE_ENV = "FRAMEDNET_CACHE"
@@ -36,9 +37,9 @@ GRAPH_D_LIMIT = 8
 # 4300 digits (its default limit) to text; 4^(d+1) has at most 4300 digits
 # up to this d.
 POWER_D_LIMIT = 7141
-# extend holds about 2d dual generators of d symbols each, so its time and
-# memory grow as d^2: with one generator 22 0...0, d = 1600 took 5.1 s and
-# 175 MB, and d = 3200 took 24 s and 644 MB (2-core Xeon, Python 3.11.7).
+# extend holds about 3d generators of d symbols each (two duals), so its
+# memory grows as d^2: with one generator 22 0...0, d = 1600 took 0.79 s and
+# 76 MB, and d = 3200 (a library call) 2.7 s and 258 MB (2-core Xeon, Python 3.11.7).
 EXTEND_D_LIMIT = 1600
 
 
@@ -110,7 +111,9 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {e.strerror or e}")
 
 
-def _emit(doc: dict, json_path: Optional[str]) -> None:
+def _emit(doc: dict, json_path: Optional[str], csv_path: Optional[str] = None) -> None:
+    if csv_path:
+        _emit_csv(doc, csv_path)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if json_path:
         _write_text(json_path, text)
@@ -186,16 +189,9 @@ def _int_in(low: int, high: Optional[int], text: str) -> int:
     return n
 
 
-def _order(text: str) -> int:
-    return _int_in(0, None, text)
-
-
-def _power_dimension(text: str) -> int:
-    return _int_in(1, POWER_D_LIMIT, text)
-
-
-def _graph_dimension(text: str) -> int:
-    return _int_in(0, GRAPH_D_LIMIT, text)
+_order = partial(_int_in, 0, None)
+_power_dimension = partial(_int_in, 1, POWER_D_LIMIT)
+_graph_dimension = partial(_int_in, 0, GRAPH_D_LIMIT)
 
 
 def _parse_fraction(s: str):
@@ -232,19 +228,18 @@ def _char_series(spec: str, variant: str, order: int, route: str, args) -> dict:
     request = {"command": "char", "variant": variant, "order": order, "route": route}
 
     def compute() -> dict:
-        from . import netchar
-        from .qseries import QSeries
+        from . import codes, netchar
 
         code = _load_code(spec)
-        out: Dict[str, dict] = {}
+        codes.check_holomorphic_hypotheses(code)
+        series = {}
         if route in ("code", "both"):
-            out["code"] = netchar.frame_char(code, variant, order).series.to_json_dict()
+            series["code"] = netchar.frame_char(code, variant, order).series
         if route in ("theta", "both"):
-            out["theta"] = netchar.theta_over_eta(code, variant, order).series.to_json_dict()
+            series["theta"] = netchar.theta_over_eta(code, variant, order).series
+        out = {name: s.to_json_dict() for name, s in series.items()}
         if route == "both":
-            a = QSeries.from_json_dict(out["code"])
-            b = QSeries.from_json_dict(out["theta"])
-            return {"routes": out, "agree": a.agrees_with(b)}
+            return {"routes": out, "agree": series["code"].agrees_with(series["theta"])}
         return next(iter(out.values()))
 
     return _cached(args, spec, request, compute)
@@ -253,10 +248,7 @@ def _char_series(spec: str, variant: str, order: int, route: str, args) -> dict:
 def _cmd_char(args) -> int:
     if args.csv and args.route == "both":
         raise InputError("--csv needs a single route")
-    doc = _char_series(args.code, args.variant, args.order, args.route, args)
-    if args.csv:
-        _emit_csv(doc, args.csv)
-    _emit(doc, args.json)
+    _emit(_char_series(args.code, args.variant, args.order, args.route, args), args.json, args.csv)
     return 0
 
 
@@ -278,10 +270,7 @@ def _cmd_orbifold_char(args) -> int:
         if args.pieces:
             sectors = orbifold.fixed_point_sector_chars(p)
             doc["pieces"] = {
-                "Z1": p.z1.series.to_json_dict(),
-                "Z2": p.z2.series.to_json_dict(),
-                "Z3": p.z3.series.to_json_dict(),
-                "Z4": p.z4.series.to_json_dict(),
+                z.upper(): getattr(p, z).series.to_json_dict() for z in ("z1", "z2", "z3", "z4")
             }
             doc["sectors"] = {
                 name: s.series.to_json_dict()
@@ -289,10 +278,7 @@ def _cmd_orbifold_char(args) -> int:
             }
         return doc
 
-    doc = _cached(args, args.code, request, compute)
-    if args.csv:
-        _emit_csv(doc, args.csv)
-    _emit(doc, args.json)
+    _emit(_cached(args, args.code, request, compute), args.json, args.csv)
     return 0
 
 
@@ -325,9 +311,7 @@ def _cmd_extend(args) -> int:
         "mu_before": str(result.mu_before),
         "mu_after": str(result.mu_after),
         "subgroup_size": 1 << H.log2_size,
-        "quotient_orders": list(result.quotient_orders)
-        if result.quotient_orders is not None
-        else None,
+        "quotient_orders": None if result.quotient_orders is None else list(result.quotient_orders),
         "offending": list(result.offending) if result.offending else None,
     }
     _emit(doc, args.json)
@@ -402,9 +386,7 @@ def _cmd_framed(args) -> int:
         "k": fs.k,
         "l": fs.l,
         "sign_matrix": ["".join(map(str, row)) for row in fs.sign_matrix],
-        "index_check": str(
-            Fraction(4 ** fs.num_factors, (2 ** fs.k) ** 2 * (2 ** fs.l) ** 2)
-        ),
+        "index_check": str(Fraction(4 ** fs.num_factors, (2 ** fs.k) ** 2 * (2 ** fs.l) ** 2)),
     }
     _emit(doc, args.json)
     return 0
@@ -440,10 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", help=f"result cache directory (or ${CACHE_ENV})")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_code_flags(sp, variant=True):
+    def add_code_flags(sp):
         sp.add_argument("--code", required=True, help="path or builtin:h8|golay24")
-        if variant:
-            sp.add_argument("--variant", choices=("L", "Ltilde"), default="L")
+        sp.add_argument("--variant", choices=("L", "Ltilde"), default="L")
 
     sp = sub.add_parser("validate-code", help="certify a binary code")
     sp.add_argument("--code", required=True)

@@ -1,5 +1,10 @@
 """Binary linear codes and the Z4-codes of the two lattice constructions.
 
+Only this module knows how rows are stored: an F2 row is an int, bit i for
+coordinate i, and a Z4 word two such bit planes (lo, hi), symbol lo + 2*hi.
+One reduced row echelon form and one kernel serve every code, and symbol
+tuples appear only at the public edge (`generators`, `codewords()`, `in`).
+
 Each binary code is enumerated once, when it is certified: one Gray-code
 sweep over its words packed as two ints, the bit planes of its even and
 of its odd coordinates, counts the words by the kinds of their
@@ -13,8 +18,9 @@ codes and 0-3 for Z4 codes, with ``#`` comments.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache, reduce
+from itertools import compress, product
+from operator import add, xor
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -22,6 +28,7 @@ Profile = Tuple[int, int, int, int]
 # binary codewords counted by (n11, n10, n01, last): n_xy pairs of
 # coordinates (2i, 2i+1) read xy, and last = 2x + y for the last pair
 PairProfile = Dict[Tuple[int, int, int, int], int]
+Planes = Tuple[int, int]
 
 ENUM_LIMIT = 1 << 26
 
@@ -31,64 +38,104 @@ class CodeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# packed rows
+
+# a byte per symbol -> the ASCII digit of its low or high bit, for int(_, 2)
+_LO = bytes(b"01"[s & 1] for s in range(256))
+_HI = bytes(b"01"[s >> 1 & 1] for s in range(256))
+# ASCII digits -> symbols 0/1 or 0/2
+_ONES = bytes.maketrans(b"01", b"\x00\x01")
+_TWOS = bytes.maketrans(b"01", b"\x00\x02")
+
+
+def _pack(symbols: bytes, plane: bytes = _LO) -> int:
+    """One bit plane of the symbols as a packed row."""
+    return int(b"0" + symbols.translate(plane)[::-1], 2)
+
+
+def _bits(row: int, n: int, table: bytes = _ONES) -> bytes:
+    """Coordinates 0..n-1 of a packed row, one byte 0/1 (0/2 by _TWOS) each."""
+    return format(row | 1 << n, "b")[:0:-1].encode().translate(table)  # bit n keeps leading 0s
+
+
+def _planes(v: Sequence[int]) -> Planes:
+    """The bit planes of a Z4 word, its symbols read mod 4."""
+    try:
+        symbols = bytes(v)  # _LO and _HI read 0..255 mod 4
+    except (ValueError, TypeError):  # a negative or non-int symbol
+        symbols = bytes(int(s) % 4 for s in v)
+    return _pack(symbols), _pack(symbols, _HI)
+
+
+def _word(lo: int, hi: int, n: int) -> Vector:
+    return tuple(map(add, _bits(lo, n), _bits(hi, n, _TWOS)))
+
+
+def _eliminate(x: int, rows: Dict[int, int], mask: int) -> int:
+    """x minus `rows`, each keyed by its pivot, its lowest set bit, until x is
+    zero at every pivot in `mask`: lowest first, so no cleared pivot returns."""
+    while m := x & mask:
+        x ^= rows[m & -m]
+    return x
+
+
+def _rref(rows: Iterable[int]) -> Dict[int, int]:
+    """Reduced row echelon form of packed F2 rows, zero rows dropped: pivot
+    bit -> row, in increasing pivot.  A row's pivot is its lowest set bit."""
+    echelon: Dict[int, int] = {}
+    mask = 0  # the union of the pivots
+    for r in rows:
+        if r := _eliminate(r, echelon, mask):
+            echelon[r & -r] = r
+            mask |= r & -r
+    reduced: Dict[int, int] = {}
+    for p in sorted(echelon, reverse=True):  # clear each pivot's column above it
+        reduced[p] = p | _eliminate(echelon[p] ^ p, reduced, mask)
+    return dict(sorted(reduced.items()))
+
+
+def _kernel(rows: Iterable[int], n: int) -> List[int]:
+    """A basis of {x in F2^n : r.x = 0 for every row r}: for each free
+    coordinate f, e_f plus the pivots p of the reduced rows that hold f."""
+    reduced = _rref(rows)
+    pivots = sum(reduced)
+    return [1 << f | sum(p for p, r in reduced.items() if r >> f & 1)
+            for f in range(n) if not pivots >> f & 1]
+
+
+# ---------------------------------------------------------------------------
 # binary codes
 
 
-def _rref_f2(rows: List[List[int]]) -> List[List[int]]:
-    """Reduced row echelon form over F2; zero rows dropped."""
-    rows = [r[:] for r in rows]
-    d = len(rows[0]) if rows else 0
-    out: List[List[int]] = []
-    pivots: List[int] = []
-    for r in rows:
-        for piv, b in zip(pivots, out):
-            if r[piv]:
-                r = [a ^ c for a, c in zip(r, b)]
-        if any(r):
-            p = r.index(1)
-            # clear this column in earlier rows
-            out = [[a ^ c for a, c in zip(b, r)] if b[p] else b for b in out]
-            out.append(r)
-            pivots.append(p)
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return [out[i] for i in order]
-
-
 class BinaryCode:
-    """Linear code over F2 given by a generator matrix (stored reduced)."""
+    """Linear code over F2 given by a generator matrix, stored as the packed
+    rows of its reduced row echelon form."""
 
     def __init__(self, length: int, generators: Iterable[Sequence[int]]):
-        gens = [list(g) for g in generators]
-        for g in gens:
-            if len(g) != length or any(b not in (0, 1) for b in g):
+        rows = []
+        for g in generators:
+            if len(g) != length or not set(g) <= {0, 1}:
                 raise CodeError(f"bad binary generator of length {len(g)}")
+            rows.append(_pack(bytes(g)))
         self.length = length
-        self.generators: Tuple[Vector, ...] = tuple(
-            tuple(r) for r in _rref_f2(gens)
-        )
+        self._rows = _rref(rows)
+        self._mask = sum(self._rows)
+        self.generators = tuple(tuple(_bits(r, length)) for r in self._rows.values())
         self._report: Optional[CodeReport] = None
 
     @property
     def dimension(self) -> int:
-        return len(self.generators)
+        return len(self._rows)
 
     def codewords(self) -> Iterator[Vector]:
         if 1 << self.dimension > ENUM_LIMIT:
             raise CodeError("code too large to enumerate")
         for coeffs in product((0, 1), repeat=self.dimension):
-            w = [0] * self.length
-            for c, g in zip(coeffs, self.generators):
-                if c:
-                    w = [a ^ b for a, b in zip(w, g)]
-            yield tuple(w)
+            yield tuple(_bits(reduce(xor, compress(self._rows.values(), coeffs), 0), self.length))
 
     def __contains__(self, v: Sequence[int]) -> bool:
-        r = list(v)
-        for g in self.generators:
-            p = g.index(1)
-            if r[p]:
-                r = [a ^ b for a, b in zip(r, g)]
-        return not any(r)
+        binary = len(v) == self.length and set(v) <= {0, 1}
+        return binary and not _eliminate(_pack(bytes(v)), self._rows, self._mask)
 
     def __len__(self) -> int:
         return 1 << self.dimension
@@ -116,8 +163,8 @@ def _pair_profile(code: BinaryCode) -> PairProfile:
     """
     if 1 << code.dimension > ENUM_LIMIT:
         raise CodeError("code too large to enumerate")
-    evens = [sum(b << i for i, b in enumerate(g[0::2])) for g in code.generators]
-    odds = [sum(b << i for i, b in enumerate(g[1::2])) for g in code.generators]
+    evens = [_pack(bytes(g[0::2])) for g in code.generators]
+    odds = [_pack(bytes(g[1::2])) for g in code.generators]
     top = (code.length - 1) // 2
     counts = {(0, 0, 0, 0): 1}
     get = counts.get
@@ -156,12 +203,10 @@ def validate_binary_code(code: BinaryCode) -> CodeReport:
         profile = _pair_profile(code)
         weights = _profile_weights(profile)
         doubly_even = all(wt % 4 == 0 for wt in weights)
-        self_dual = code.dimension * 2 == code.length and all(
-            sum(a * b for a, b in zip(g, h)) % 2 == 0
-            for g in code.generators
-            for h in code.generators
+        self_dual = code.dimension * 2 == code.length and not any(
+            (g & h).bit_count() & 1 for g in code._rows.values() for h in code._rows.values()
         )
-        all_ones = tuple([1] * code.length) in code
+        all_ones = not _eliminate((1 << code.length) - 1, code._rows, code._mask)
         code._report = CodeReport(doubly_even, self_dual, all_ones, weights, profile)
     return code._report
 
@@ -283,10 +328,7 @@ _HAT_SECTION = {(0, 0): (0, 0), (1, 1): (2, 0), (1, 0): (1, 1), (0, 1): (1, 3)}
 
 
 def _hat_section(bits: Sequence[int]) -> Vector:
-    out: List[int] = []
-    for i in range(0, len(bits), 2):
-        out.extend(_HAT_SECTION[(bits[i], bits[i + 1])])
-    return tuple(out)
+    return tuple(s for i in range(0, len(bits), 2) for s in _HAT_SECTION[bits[i], bits[i + 1]])
 
 
 class Z4Code:
@@ -296,79 +338,91 @@ class Z4Code:
     images are independent, and two rows, an F2 basis of the intersection
     with 2*Z4^d that holds the double of every unit row.  Summing each
     basis row with coefficients in {0,1} hits every codeword exactly once,
-    so the cardinality is 2^(number of basis rows).  Construction,
-    membership and growing the span (`_insert`) share one reduction.
+    so the cardinality is 2^(number of basis rows).  Rows are bit planes,
+    each layer with the mask of its pivots.  Construction, membership and
+    growing the span (`add`) share one reduction.
     """
 
     def __init__(self, length: int, generators: Iterable[Sequence[int]]):
-        gens = [tuple(int(s) % 4 for s in g) for g in generators]
-        for g in gens:
+        self.length = length
+        self._gens: List[Planes] = []
+        self._units: Dict[int, Planes] = {}  # pivot bit -> unit row (lo, hi)
+        self._twos: Dict[int, int] = {}  # pivot bit -> two row's hi plane; lo is 0
+        self._unit_mask = self._two_mask = 0
+        self._profile: Dict[Profile, int] | None = None
+        for g in generators:
             if len(g) != length:
                 raise CodeError("generator length mismatch")
-        self.length = length
-        self.generators: Tuple[Vector, ...] = tuple(gens)
-        self._unit_rows: List[Vector] = []
-        self._unit_pivots: List[int] = []
-        self._two_rows: List[Vector] = []
-        self._two_pivots: List[int] = []
-        for g in gens:
-            self._insert(g)
-        self._profile: Dict[Profile, int] | None = None
+            self._gens.append(_planes(g))
+            self._add(*self._gens[-1])
+
+    @cached_property
+    def generators(self) -> Tuple[Vector, ...]:
+        return tuple(_word(lo, hi, self.length) for lo, hi in self._gens)
 
     # -- basis ---------------------------------------------------------
 
-    def _reduce(self, v: Sequence[int]) -> List[int]:
+    def _reduce(self, lo: int, hi: int) -> Planes:
         """v minus unit rows until it is even at every unit pivot, then
         (if it is even everywhere) minus two rows until it is zero at every
-        two pivot.  The result is zero iff v is in the code."""
-        r = list(v)
-        for piv, u in zip(self._unit_pivots, self._unit_rows):
-            if r[piv] % 2:
-                r = [(a - b) % 4 for a, b in zip(r, u)]
-        if any(a % 2 for a in r):
-            return r
-        for piv, t in zip(self._two_pivots, self._two_rows):
-            if r[piv]:
-                r = [(a - b) % 4 for a, b in zip(r, t)]
-        return r
+        two pivot.  The result is zero iff v is in the code.  A row's pivot
+        is its lowest odd (unit) or nonzero (two) coordinate, so each layer
+        is reduced as in `_eliminate`; subtracting u borrows from the high
+        plane wherever u is odd and v even."""
+        while m := lo & self._unit_mask:
+            ulo, uhi = self._units[m & -m]
+            hi ^= uhi ^ (ulo & ~lo)
+            lo ^= ulo
+        if not lo:
+            hi = _eliminate(hi, self._twos, self._two_mask)
+        return lo, hi
 
-    def _insert(self, v: Sequence[int]) -> bool:
-        """Grow the code by v; False (and no change) if v was in it."""
-        r = self._reduce(v)
-        odd = next((i for i, a in enumerate(r) if a % 2), None)
-        if odd is not None:
-            self._unit_rows.append(tuple(r))
-            self._unit_pivots.append(odd)
-            self._insert(tuple(2 * a % 4 for a in r))
+    def _add(self, lo: int, hi: int) -> bool:
+        lo, hi = self._reduce(lo, hi)
+        if lo:
+            p = lo & -lo
+            self._units[p] = lo, hi
+            self._unit_mask |= p
+            self._add(0, lo)  # its double
             return True
-        nonzero = next((i for i, a in enumerate(r) if a), None)
-        if nonzero is None:
+        if not hi:
             return False
-        self._two_rows.append(tuple(r))
-        self._two_pivots.append(nonzero)
+        p = hi & -hi
+        self._twos[p] = hi
+        self._two_mask |= p
         return True
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Grow the code by v; False (and no change) if v was in it."""
+        return self._add(*_planes(v))
 
     @property
     def log2_size(self) -> int:
         """The number of basis rows; the code has 2^log2_size words."""
-        return len(self._unit_rows) + len(self._two_rows)
+        return len(self._units) + len(self._twos)
 
     def __len__(self) -> int:
         return 1 << self.log2_size
 
     def __contains__(self, v: Sequence[int]) -> bool:
-        return len(v) == self.length and not any(self._reduce([int(s) % 4 for s in v]))
+        return len(v) == self.length and self._reduce(*_planes(v)) == (0, 0)
+
+    def residue_code(self) -> BinaryCode:
+        """The code mod 2, spanned by the unit rows' low planes."""
+        return BinaryCode(self.length, [_bits(lo, self.length) for lo, _ in self._units.values()])
+
+    def _basis(self) -> List[Planes]:
+        return [*self._units.values(), *((0, hi) for hi in self._twos.values())]
 
     def codewords(self) -> Iterator[Vector]:
         if len(self) > ENUM_LIMIT:
             raise CodeError("Z4 code too large to enumerate")
-        basis = self._unit_rows + self._two_rows
+        basis = self._basis()
         for coeffs in product((0, 1), repeat=len(basis)):
-            w = [0] * self.length
-            for c, g in zip(coeffs, basis):
-                if c:
-                    w = [(a + b) % 4 for a, b in zip(w, g)]
-            yield tuple(w)
+            lo = hi = 0
+            for ulo, uhi in compress(basis, coeffs):
+                lo, hi = lo ^ ulo, hi ^ uhi ^ (lo & ulo)  # the low bits carry
+            yield _word(lo, hi, self.length)
 
     # -- complete weight profile ---------------------------------------
 
@@ -387,6 +441,35 @@ class Z4Code:
         return f"Z4Code(length={self.length}, size=2^{self.log2_size})"
 
 
+def z4_dual_code(code: Z4Code) -> Z4Code:
+    """Dual under the pairing b(x, y) = sum x_i y_i / 4 mod 1, over F2.
+
+    With unit rows u and two rows 2t, y = k + 2w (k, w binary) is in the
+    dual iff t.k = 0 (mod 2) and u.k + 2 u.w = 0 (mod 4).  So k runs over
+    the F2 kernel K of the rows t, which span the u mod 2, and each k
+    lifts with a w solving (u mod 2).w = (u.k mod 4) / 2.  The lifts of a
+    basis of K and 2z for a basis of the kernel of (u mod 2) generate the
+    dual.  The u mod 2 are independent, so one reduction of them,
+    augmented by the right-hand sides of every k, solves every system.
+    In planes u.k = |u_lo & k| + 2 |u_hi & k|, where |u_lo & k| is even.
+    """
+    d = code.length
+    kernel = _kernel(code._twos.values(), d)
+    augmented = [
+        lo | sum(1 << d + j for j, k in enumerate(kernel)
+                 if ((lo & k).bit_count() >> 1) + (hi & k).bit_count() & 1)
+        for lo, hi in code._units.values()
+    ]
+    solved = _rref(augmented).items()
+    gens = [(k, sum(p for p, row in solved if row >> d + j & 1)) for j, k in enumerate(kernel)]
+    gens += [(0, z) for z in _kernel([lo for lo, _ in code._units.values()], d)]
+    dual = Z4Code(d, ())
+    dual._gens = gens or [(0, 0)]
+    for lo, hi in dual._gens:
+        dual._add(lo, hi)
+    return dual
+
+
 def z4_code_from_text(text: str) -> Z4Code:
     rows = parse_code_lines(text, 4)
     return Z4Code(len(rows[0]), rows)
@@ -396,20 +479,10 @@ def sigma2_code(n: int, zero_variant: bool = False) -> Z4Code:
     """The code {(00),(22)}^n, or its index-2 even-(22)-count subcode."""
     if n < 1:
         raise CodeError("n must be positive")
-    gens = []
-    if zero_variant:
-        for i in range(n - 1):
-            g = [0] * (2 * n)
-            g[2 * i] = g[2 * i + 1] = g[2 * i + 2] = g[2 * i + 3] = 2
-            gens.append(g)
-        if not gens:
-            gens.append([0] * (2 * n))
-    else:
-        for i in range(n):
-            g = [0] * (2 * n)
-            g[2 * i] = g[2 * i + 1] = 2
-            gens.append(g)
-    return Z4Code(2 * n, gens)
+    # generator i is 22 on pair i, or 2222 on pairs i and i + 1
+    width, count = (4, n - 1) if zero_variant else (2, n)
+    gens = [[2 if 2 * i <= j < 2 * i + width else 0 for j in range(2 * n)] for i in range(count)]
+    return Z4Code(2 * n, gens or [[0] * (2 * n)])
 
 
 def glue_vector(d: int) -> Vector:
@@ -429,12 +502,9 @@ def delta_code(code: BinaryCode, variant: str) -> Z4Code:
     check_lattice_hypotheses(code)
     d = code.length
     gens: List[Vector] = [_hat_section(g) for g in code.generators]
-    if variant == "L":
-        sigma = sigma2_code(d // 2, zero_variant=False)
-    else:
-        sigma = sigma2_code(d // 2, zero_variant=True)
+    if variant == "Ltilde":
         gens.append(glue_vector(d))
-    gens.extend(sigma.generators)
+    gens.extend(sigma2_code(d // 2, zero_variant=variant == "Ltilde").generators)
     out = Z4Code(d, gens)
     expected = len(code) << (d // 2)
     if len(out) != expected:

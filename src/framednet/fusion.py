@@ -8,11 +8,11 @@ The orbifold's sectors are read off x -> -x on Z4^d: the census counts
 them in integers (the squared dimensions 4, 1 and 2^d are integers), and
 the branching graph draws each sector's edges from its label.
 
-The extension of Z4^d by a Z4 code H is linear algebra on the codes'
-two-layer F2 bases: the weight check reads H's generators and their
-pairs, the surviving sectors H-perp / H are presented as Z4^a x Z2^b from
-two dual codes, and every size is 2^(number of basis rows).  No codeword
-of H or H-perp is listed.
+The extension of Z4^d by a Z4 code H is linear algebra that `codes` does
+on packed rows: the weight check reads H's generators and their pairs,
+the surviving sectors H-perp / H are presented as Z4^a x Z2^b from two
+dual codes and one span grown by `Z4Code.add`, and every size is
+2^log2_size.  No codeword of H or H-perp is listed, and no row is packed here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .codes import Z4Code, _rref_f2
+from .codes import BinaryCode, Z4Code, z4_dual_code
 
 Element = Tuple[int, ...]
 HALF = Fraction(1, 2)
@@ -62,43 +62,6 @@ class ExtensionResult(NamedTuple):
     offending: Optional[Element] = None
 
 
-def _kernel_f2(rows: List[List[int]], d: int) -> List[List[int]]:
-    """A basis of {x in F2^d : r.x = 0 for every row r}."""
-    reduced = _rref_f2(rows)
-    pivots = [r.index(1) for r in reduced]
-    basis = []
-    for f in sorted(set(range(d)) - set(pivots)):
-        x = [0] * d
-        x[f] = 1
-        for p, r in zip(pivots, reduced):
-            x[p] = r[f]
-        basis.append(x)
-    return basis
-
-
-def z4_dual_code(code: Z4Code) -> Z4Code:
-    """Dual under the pairing b(x, y) = sum x_i y_i / 4 mod 1, over F2.
-
-    With unit rows u and two rows 2t, y = k + 2w (k, w binary) is in the
-    dual iff t.k = 0 (mod 2) and u.k + 2 u.w = 0 (mod 4).  So k runs over
-    the F2 kernel K of the rows t, which span the u mod 2, and each k
-    lifts with a w solving (u mod 2).w = (u.k mod 4) / 2.  The lifts of a
-    basis of K and 2z for a basis of the kernel of (u mod 2) generate the
-    dual.  The u mod 2 are independent, so one reduction of them,
-    augmented by the right-hand sides of every k, solves every system.
-    """
-    d = code.length
-    units = [[a % 2 for a in u] for u in code._unit_rows]
-    kernel = _kernel_f2([[a // 2 for a in t] for t in code._two_rows], d)
-    sides = [[sum(a * b for a, b in zip(u, k)) % 4 // 2 for k in kernel] for u in code._unit_rows]
-    for row in _rref_f2([u + c for u, c in zip(units, sides)]):
-        p = row.index(1)
-        for k, c in zip(kernel, row[d:]):
-            k[p] += 2 * c
-    gens = kernel + [[2 * a for a in z] for z in _kernel_f2(units, d)]
-    return Z4Code(d, gens or [(0,) * d])
-
-
 def _quotient_basis(H: Z4Code, dual: Z4Code) -> List[Tuple[Element, int]]:
     """Generators of dual / H with their orders, presenting it as Z4^a x Z2^b.
 
@@ -122,11 +85,11 @@ def _quotient_basis(H: Z4Code, dual: Z4Code) -> List[Tuple[Element, int]]:
     span = Z4Code(H.length, H.generators)
     basis: List[Tuple[Element, int]] = []
     for x in dual.generators:
-        if span._insert(tuple(2 * a % 4 for a in x)):
+        if span.add([2 * a for a in x]):
             basis.append((x, 4))
     two_torsion = z4_dual_code(span)
     for y in two_torsion.generators:
-        if span._insert(y):
+        if span.add(y):
             basis.append((y, 2))
     if sum(2 if o == 4 else 1 for _, o in basis) != dual.log2_size - H.log2_size:
         raise FusionError("quotient generators do not present H-perp / H")
@@ -308,7 +271,7 @@ def framed_structure(decomp: Sequence[Tuple[Label, int]]) -> FramedStructure:
     k = inner.bit_length() - 1
     if 1 << k != inner:
         raise FusionError(f"inner label count {inner} is not a power of two")
-    matrix = tuple(tuple(row) for row in _rref_f2([list(p) for p in patterns]))
+    matrix = BinaryCode(num_factors, patterns).generators
     return FramedStructure(num_factors, k, len(matrix), matrix)
 
 
@@ -333,9 +296,10 @@ def framed_from_code(G: Z4Code) -> FramedStructure:
     2d (index 1) when |G| = 2^d, as for the delta code of a self-dual code.
     The sign matrix is the reduced row-echelon basis of the patterns.
     """
-    basis = _rref_f2([[a % 2 for a in u] for u in G._unit_rows])
-    matrix = tuple(tuple(b for b in row for _ in range(2)) for row in basis)
-    return FramedStructure(2 * G.length, G.length + len(G._two_rows), len(matrix), matrix)
+    residue = G.residue_code()
+    matrix = tuple(tuple(b for b in row for _ in range(2)) for row in residue.generators)
+    k = G.length + G.log2_size - residue.dimension
+    return FramedStructure(2 * G.length, k, len(matrix), matrix)
 
 
 _BRANCH_OPTIONS = {

@@ -23,7 +23,6 @@ from .qseries import DEN, QSeries, eta_power, product_form, to_num
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
 
-ISING_WEIGHTS = (Fraction(0), HALF, SIXTEENTH)
 U14_WEIGHTS = (Fraction(0), Fraction(1, 8), HALF, Fraction(1, 8))
 
 

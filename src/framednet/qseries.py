@@ -10,7 +10,6 @@ retained coefficient is never polluted by discarded terms.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -173,19 +172,6 @@ class QSeries:
             "terms": [[n, str(c)] for n, c in self.items()],
             "order_num": self.order,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QSeries":
-        if d.get("den") != DEN:
-            raise ValueError(f"unsupported denominator {d.get('den')}")
-        return cls({int(n): int(c) for n, c in d["terms"]}, int(d["order_num"]))
-
-    @classmethod
-    def from_json(cls, s: str) -> "QSeries":
-        return cls.from_json_dict(json.loads(s))
 
 
 def binom(p: int, k: int) -> int:

@@ -125,8 +125,9 @@ class TestCodeHypotheses:
         [
             ("1100\n0011\n", "code is not doubly even"),
             ("11110000\n", "code does not contain the all-ones vector"),
+            ("11111111\n", "code is not self-dual; its lattice nets are not holomorphic"),
         ],
-        ids=["not-doubly-even", "no-all-ones"],
+        ids=["not-doubly-even", "no-all-ones", "not-self-dual"],
     )
     @pytest.mark.parametrize(
         "argv",

@@ -12,7 +12,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -33,8 +33,8 @@ from framednet.codes import (
     sigma2_code,
     validate_binary_code,
     z4_code_from_text,
+    z4_dual_code,
 )
-from framednet.fusion import z4_dual_code
 from framednet.netchar import frame_char, lattice_net_char, theta_over_eta
 
 
@@ -377,7 +377,7 @@ def _numpy_profile(code):
     """
     np = pytest.importorskip("numpy")
     d = code.length
-    basis = code._unit_rows + code._two_rows
+    basis = [codes._word(lo, hi, d) for lo, hi in code._basis()]
     m = len(basis)
     rows = np.array(basis, dtype=np.uint8).reshape(m, d)
 
@@ -621,3 +621,107 @@ class TestRank32:
         assert frame.series == theta_over_eta(code, variant, steps=6).series
         # 32 currents, plus 64 roots in L
         assert frame.coeff(Fraction(-32, 24) + 1) == weight_one
+
+
+def _rref_f2(rows):
+    """Reduced row echelon form over F2, one int per symbol; zero rows dropped."""
+    rows = [r[:] for r in rows]
+    out, pivots = [], []
+    for r in rows:
+        for piv, b in zip(pivots, out):
+            if r[piv]:
+                r = [a ^ c for a, c in zip(r, b)]
+        if any(r):
+            p = r.index(1)
+            # clear this column in earlier rows
+            out = [[a ^ c for a, c in zip(b, r)] if b[p] else b for b in out]
+            out.append(r)
+            pivots.append(p)
+    order = sorted(range(len(out)), key=lambda i: pivots[i])
+    return [out[i] for i in order]
+
+
+def _kernel_f2(rows, d):
+    """A basis of {x in F2^d : r.x = 0 for every row r}, one int per symbol."""
+    reduced = _rref_f2(rows)
+    pivots = [r.index(1) for r in reduced]
+    basis = []
+    for f in sorted(set(range(d)) - set(pivots)):
+        x = [0] * d
+        x[f] = 1
+        for p, r in zip(pivots, reduced):
+            x[p] = r[f]
+        basis.append(x)
+    return basis
+
+
+@st.composite
+def _f2_matrices(draw):
+    """(d, rows): up to 10 rows of length d <= 130, one int per symbol, the
+    last a sum of two others when there are three."""
+    d = draw(st.integers(1, 130))
+    ints = draw(st.lists(st.integers(0, (1 << d) - 1), max_size=9))
+    rows = [[x >> i & 1 for i in range(d)] for x in ints]
+    if len(rows) > 2:
+        rows.append([a ^ b for a, b in zip(rows[0], rows[-1])])
+    return d, rows
+
+
+def _packed(rows):
+    return [sum(b << i for i, b in enumerate(r)) for r in rows]
+
+
+def _unpacked(rows, d):
+    return [[x >> i & 1 for i in range(d)] for x in rows]
+
+
+def _z4_span(d, gens):
+    """Every word of the subgroup of Z4^d that gens generate, by closure."""
+    span = {(0,) * d}
+    for g in gens:
+        while True:
+            grown = span | {tuple((a + b) % 4 for a, b in zip(w, g)) for w in span}
+            if grown == span:
+                break
+            span = grown
+    return span
+
+
+class TestPackedRows:
+    """The packed F2 layer against row operations on one int per symbol."""
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(_f2_matrices())
+    def test_rref_matches_oracle(self, matrix):
+        d, rows = matrix
+        reduced = codes._rref(_packed(rows))
+        assert _unpacked(reduced.values(), d) == _rref_f2(rows)
+        assert list(reduced) == [r & -r for r in reduced.values()]
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(_f2_matrices())
+    def test_kernel_is_orthogonal_of_full_dimension(self, matrix):
+        d, rows = matrix
+        kernel = codes._kernel(_packed(rows), d)
+        assert len(kernel) == d - len(codes._rref(_packed(rows)))
+        assert all((r & x).bit_count() % 2 == 0 for r in _packed(rows) for x in kernel)
+        assert _unpacked(kernel, d) == _kernel_f2(rows, d)
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_z4_code_matches_span(self, data):
+        # symbols outside 0..3, negative ones too, are read mod 4
+        d = data.draw(st.integers(1, 4))
+        vectors = st.lists(st.integers(-5, 300), min_size=d, max_size=d).map(tuple)
+        gens = data.draw(st.lists(vectors, max_size=4))
+        extra = data.draw(vectors)
+        mod4 = [tuple(s % 4 for s in g) for g in gens + [extra]]
+        code, span = Z4Code(d, gens), _z4_span(d, mod4[:-1])
+        assert len(code) == len(span)
+        assert set(code.codewords()) == span
+        words = list(product(range(4), repeat=d))
+        assert [w in code for w in words] == [w in span for w in words]
+        assert (extra in code) == (mod4[-1] in span)
+        assert code.add(extra) == (mod4[-1] not in span)
+        assert set(code.codewords()) == _z4_span(d, mod4)
+        assert code.generators == tuple(mod4[:-1])

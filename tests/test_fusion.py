@@ -16,7 +16,14 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from framednet.codes import BinaryCode, Z4Code, builtin_code, builtin_delta, delta_code
+from framednet.codes import (
+    BinaryCode,
+    Z4Code,
+    builtin_code,
+    builtin_delta,
+    delta_code,
+    z4_dual_code,
+)
 from framednet.fusion import (
     FusionError,
     _non_integral_element,
@@ -27,7 +34,6 @@ from framednet.fusion import (
     ising_decomposition,
     orbifold_census,
     simple_current_extension,
-    z4_dual_code,
 )
 
 HALF = Fraction(1, 2)

@@ -59,3 +59,29 @@ def test_method_resolves(module, cls, method, metric):
 
 def test_perfbench_test_names_found():
     assert ("fusion", "framed_structure") in _perfbench_test_names()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "framednet"
+
+
+@pytest.mark.parametrize("module", ["cli", "netchar", "orbifold", "fusion"])
+def test_uses_only_public_code_surface(module):
+    """Only codes knows how rows are packed: the other modules import no
+    private name from it and read no private attribute except their own,
+    on self or cls."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    found = [
+        f"{node.lineno}: from .codes import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "codes"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    found += [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert found == []
