@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 domain validation failure (a code outside the
 paper's hypotheses, a subgroup without integer weights), 2 input/usage
 error (a missing, unreadable or malformed file, an unknown builtin name,
 a bad flag value such as a dimension below 1, an `emit-graph --d` above
-GRAPH_D_LIMIT, a `census` dimension above POWER_D_LIMIT or an `extend`
-dimension above EXTEND_D_LIMIT,
+GRAPH_D_LIMIT, a `census` dimension above POWER_D_LIMIT, an `extend`
+dimension above EXTEND_D_LIMIT, an `--order` above ORDER_LIMIT,
 ragged labels or a multiplicity below 1 in a `framed --decomp` file, an
 output file or cache directory that cannot be written).  An exit 2
 prints `error: ...` to stderr (after argparse's usage line for a bad
@@ -41,6 +41,11 @@ POWER_D_LIMIT = 7141
 # memory grows as d^2: with one generator 22 0...0, d = 1600 took 0.79 s and
 # 76 MB, and d = 3200 (a library call) 2.7 s and 258 MB (2-core Xeon, Python 3.11.7).
 EXTEND_D_LIMIT = 1600
+# a series' cost grows about as order^2: golay24/Ltilde `char --route both`
+# took 14 s at order 600, 41 s (26 MB) at 1000 and 63 s at 1200, and
+# `orbifold-char --pieces` 34 s at 1200 (fresh process, 2-core Xeon,
+# Python 3.11.7).
+ORDER_LIMIT = 1000
 
 
 class InputError(Exception):
@@ -103,6 +108,20 @@ def _code_identity(spec: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _program_identity() -> str:
+    """Hash of this package's sources for cache keys, so that an entry
+    written by another version of the program is a miss."""
+    import hashlib
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+    return digest.hexdigest()
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
@@ -136,13 +155,14 @@ def _cache_dir(args) -> Optional[str]:
 
 def _cached(args, spec: str, request: dict, compute) -> dict:
     """Content-addressed cache: key is the hash of the request manifest,
-    which names the code by the hash of its content."""
+    which names the code by the hash of its content and the program by
+    the hash of its sources."""
     cache = _cache_dir(args)
     if not cache:
         return compute()
     import hashlib
 
-    key_doc = {**request, "code": _code_identity(spec)}
+    key_doc = {**request, "code": _code_identity(spec), "program": _program_identity()}
     key = hashlib.sha256(
         json.dumps(key_doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -175,7 +195,7 @@ def _cached(args, spec: str, request: dict, compute) -> dict:
     return result
 
 
-def _int_in(low: int, high: Optional[int], text: str) -> int:
+def _int_in(low: int, high: int, text: str) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -184,12 +204,12 @@ def _int_in(low: int, high: Optional[int], text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be {'nonnegative' if low == 0 else 'positive'}, got {n}"
         )
-    if high is not None and n > high:
+    if n > high:
         raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
     return n
 
 
-_order = partial(_int_in, 0, None)
+_order = partial(_int_in, 0, ORDER_LIMIT)
 _power_dimension = partial(_int_in, 1, POWER_D_LIMIT)
 _graph_dimension = partial(_int_in, 0, GRAPH_D_LIMIT)
 

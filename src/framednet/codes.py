@@ -7,9 +7,9 @@ tuples appear only at the public edge (`generators`, `codewords()`, `in`).
 
 Each binary code is enumerated once, when it is certified: one Gray-code
 sweep over its words packed as two ints, the bit planes of its even and
-of its odd coordinates, counts the words by the kinds of their
-coordinate pairs.  That count yields both the weight enumerator and the
-pair types of the frame route.
+of its odd coordinates, counts the words by their pair weights (n11, m),
+the coordinate pairs that read 11 and those that read 10 or 01.  That
+count yields both the weight enumerator and the frame route's input.
 
 Code files are plain text, one generator per line, symbols 0/1 for binary
 codes and 0-3 for Z4 codes, with ``#`` comments.
@@ -25,9 +25,9 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 Vector = Tuple[int, ...]
 Profile = Tuple[int, int, int, int]
-# binary codewords counted by (n11, n10, n01, last): n_xy pairs of
-# coordinates (2i, 2i+1) read xy, and last = 2x + y for the last pair
-PairProfile = Dict[Tuple[int, int, int, int], int]
+# binary codewords counted by (n11, m): n11 coordinate pairs (2i, 2i+1)
+# read 11 and m read 10 or 01, so a word has weight 2 * n11 + m
+PairProfile = Dict[Tuple[int, int], int]
 Planes = Tuple[int, int]
 
 ENUM_LIMIT = 1 << 26
@@ -153,41 +153,34 @@ class CodeReport(NamedTuple):
 
 
 def _pair_profile(code: BinaryCode) -> PairProfile:
-    """Every codeword counted by the kinds of its coordinate pairs.
+    """Every codeword counted by its pair weights (n11, m).
 
     Generator g is packed as two ints, its even coordinates g[0::2] and
     its odd coordinates g[1::2] with bit i for pair i; an odd length
     leaves its lone last coordinate in the even plane.  Walking the 2^k
     words in Gray-code order changes one generator per step, so each word
-    costs two XORs and three popcounts.
+    costs two XORs and two popcounts: n11 = |e & o| and m = |e ^ o|.
     """
     if 1 << code.dimension > ENUM_LIMIT:
         raise CodeError("code too large to enumerate")
     evens = [_pack(bytes(g[0::2])) for g in code.generators]
     odds = [_pack(bytes(g[1::2])) for g in code.generators]
-    top = (code.length - 1) // 2
-    counts = {(0, 0, 0, 0): 1}
+    counts = {(0, 0): 1}
     get = counts.get
     e = o = 0
     for i in range(1, 1 << code.dimension):
         j = (i & -i).bit_length() - 1  # the generator Gray code step i flips
         e ^= evens[j]
         o ^= odds[j]
-        both = e & o
-        key = (
-            both.bit_count(),
-            (e ^ both).bit_count(),
-            (o ^ both).bit_count(),
-            (e >> top & 1) << 1 | o >> top & 1,
-        )
+        key = (e & o).bit_count(), (e ^ o).bit_count()
         counts[key] = get(key, 0) + 1
     return counts
 
 
 def _profile_weights(profile: PairProfile) -> Dict[int, int]:
     weights: Counter = Counter()
-    for (n11, n10, n01, _), count in profile.items():
-        weights[2 * n11 + n10 + n01] += count
+    for (n11, m), count in profile.items():
+        weights[2 * n11 + m] += count
     return dict(weights)
 
 
@@ -510,44 +503,6 @@ def delta_code(code: BinaryCode, variant: str) -> Z4Code:
     if len(out) != expected:
         raise CodeError(f"delta code cardinality {len(out)} != {expected}")
     return out
-
-
-def _shifted_type(bits: Tuple[int, int], shift: Sequence[int]) -> Tuple[int, int]:
-    """Sorted pair of hat_section(bits) + shift."""
-    a, b = _HAT_SECTION[bits]
-    return tuple(sorted(((a + shift[0]) % 4, (b + shift[1]) % 4)))
-
-
-def pair_types(code: BinaryCode, variant: str) -> Dict[tuple, int]:
-    """Cosets of delta_code(code, variant) modulo {(00),(22)}^{d/2} counted
-    by their sorted coordinate pairs, each key a sorted ((a, b), multiplicity).
-
-    The representatives are hat_section(c) for every codeword c, and for
-    Ltilde also hat_section(c) + glue_vector(d): for a doubly-even code
-    hat_section is additive modulo the even-(22)-count subcode.  Both are
-    read off the certification's pair profile: a pair xy of c shifted by
-    the glue's pair s becomes _shifted_type(xy, s), and the glue's last
-    pair differs from the others when d % 16 == 8.
-    """
-    if variant not in ("L", "Ltilde"):
-        raise CodeError(f"variant must be L or Ltilde, got {variant!r}")
-    profile = check_lattice_hypotheses(code).pair_profile
-    d = code.length
-    glue = glue_vector(d)
-    shifts = [((0, 0), (0, 0))] + ([(glue[:2], glue[-2:])] if variant == "Ltilde" else [])
-    census: Counter = Counter()
-    for shift, last_shift in shifts:
-        types = {bits: _shifted_type(bits, shift) for bits in _HAT_SECTION}
-        last_types = {bits: _shifted_type(bits, last_shift) for bits in _HAT_SECTION}
-        for (n11, n10, n01, last), count in profile.items():
-            last_bits = divmod(last, 2)
-            kinds = {(0, 0): d // 2 - n11 - n10 - n01, (1, 1): n11, (1, 0): n10, (0, 1): n01}
-            kinds[last_bits] -= 1  # the last pair is shifted apart
-            pairs: Counter = Counter({last_types[last_bits]: 1})
-            for bits, k in kinds.items():
-                pairs[types[bits]] += k
-            census[tuple(sorted((t, k) for t, k in pairs.items() if k))] += count
-    return dict(census)
 
 
 @lru_cache(maxsize=None)

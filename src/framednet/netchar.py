@@ -1,8 +1,9 @@
 """Characters of the building-block nets and of the lattice nets.
 
 Two independent routes to the lattice-net vacuum character are kept side
-by side: the frame route, a sum over the binary code's Ising-pair types
-(primary), and the lattice theta series divided by eta^d (oracle).
+by side: the frame route, a sum over the binary code's words counted by
+their pair weights (primary), and the lattice theta series divided by
+eta^d (oracle).
 Cross agreement of the two is part of the acceptance suite.  A third,
 `lattice_net_char`, sums the Z4 code's enumerated weight profile and
 serves the tests as an oracle of the frame route.  All three reduce to
@@ -15,9 +16,9 @@ import math
 import operator
 from functools import lru_cache, reduce
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .codes import BinaryCode, Z4Code, check_lattice_hypotheses, pair_types
+from .codes import BinaryCode, Z4Code, check_lattice_hypotheses
 from .qseries import DEN, QSeries, eta_power, product_form, to_num
 
 HALF = Fraction(1, 2)
@@ -65,7 +66,9 @@ def ising_char(h, steps: int = 5) -> NetCharacter:
 def u14_sector_char(j: int, steps: int = 5) -> NetCharacter:
     """Character of the rank-one net's sector j in Z4 (c = 1).
 
-    chi_j = eta^{-1} * sum over n = j mod 4 of q^{n^2/8}.
+    chi_j = eta^{-1} * sum over n = j mod 4 of q^{n^2/8}, kept `steps`
+    q-steps above its own leading term, so any product of the chi_j keeps
+    `steps` q-steps above the product's leading term.
     """
     j %= 4
     c24 = Fraction(1, 24)
@@ -151,41 +154,42 @@ def _sum_of_products(
     return total
 
 
-def _u14_chars(steps: int) -> List[QSeries]:
-    # chi_0..chi_3, each kept `steps` q-steps above its own leading term, so
-    # any product keeps `steps` q-steps above the product's leading term
-    return [u14_sector_char(j, steps).series for j in range(4)]
-
-
 def frame_char(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
     """Vacuum character of the lattice net of `code` over its Ising frame (c = d).
 
     A coset v + {(00),(22)}^{d/2} of the Z4 code contributes the product
-    over the pairs (a, b) of v of chi_a chi_b + chi_{a+2} chi_{b+2}, the
-    branching of the rank-two net into pairs of Ising factors, so each
-    codeword counts only through its pair types (codes.pair_types).
-    Ltilde keeps the even (22)-counts of each coset: the mean over the
-    sign s in chi_a chi_b + s chi_{a+2} chi_{b+2}.
+    over the pairs (a, b) of v of chi_a chi_b + s chi_{a+2} chi_{b+2}, the
+    branching of the rank-two net into pairs of Ising factors: s = 1 for
+    L, and Ltilde, which keeps the even (22)-counts of each coset, takes
+    the mean over s = 1, -1.  The cosets are v = hat_section(c) for every
+    codeword c, and for Ltilde also v + glue_vector(d).  As chi_3 = chi_1,
+    a pair 00 of c gives chi_0^2 + s chi_2^2, a pair 11 (1 + s) chi_0 chi_2
+    and a pair 10 or 01 (1 + s) chi_1^2, so c counts only through its pair
+    weights (n11, m) (codes.PairProfile), and at s = -1 only c = 0 is left.
+    Shifted by the glue's pair 10, a pair 00 or 11 of c gives
+    chi_1 (chi_0 + s chi_2) and a pair 10 or 01 s times that, where m is
+    even as c is doubly even; when d = 8 (mod 16) the glue's last pair,
+    32, multiplies its pair's term by s once more.  So every codeword
+    gives the same glue term.
     """
-    d = code.length
-    census = pair_types(code, variant)
-    chis = _u14_chars(steps)
-    canon = [chis.index(c) for c in chis]  # chi_3 = chi_1 as series
-    product = lru_cache(maxsize=None)(lambda i, j: chis[i] * chis[j])
-
-    def pair(a: int, b: int) -> QSeries:
-        return product(*sorted((canon[a % 4], canon[b % 4])))
-
-    types = sorted({t for key in census for t, _ in key})
-    enumerator = {
-        tuple(dict(key).get(t, 0) for t in types): count for key, count in census.items()
-    }
-    order = _char_order_num(Fraction(-d, 24), steps)
-    total = QSeries.zero(order)
-    for s in ((1, -1) if variant == "Ltilde" else (1,)):
-        bases = [pair(a, b) + pair(a + 2, b + 2).scale(s) for a, b in types]
-        total = total + _sum_of_products(enumerator, bases, order)
-    series = total.half() if variant == "Ltilde" else total
+    if variant not in ("L", "Ltilde"):
+        raise ValueError(f"variant must be L or Ltilde, got {variant!r}")
+    d, half = code.length, code.length // 2
+    profile = check_lattice_hypotheses(code).pair_profile
+    chi0, chi1, chi2 = (u14_sector_char(j, steps).series for j in range(3))
+    bases = [chi0 * chi0 + chi2 * chi2, (chi0 * chi2).scale(2), (chi1 * chi1).scale(2)]
+    enumerator = {(half - n11 - m, n11, m): count for (n11, m), count in profile.items()}
+    if variant == "Ltilde":
+        # the code at s = -1, and the glue coset at s = 1 and s = -1
+        bases += [chi0 * chi0 - chi2 * chi2, chi1 * (chi0 + chi2), chi1 * (chi0 - chi2)]
+        enumerator = {k + (0, 0, 0): count for k, count in enumerator.items()}
+        sign = 1 if d % 16 == 0 else -1
+        enumerator[0, 0, 0, half, 0, 0] = 1
+        enumerator[0, 0, 0, 0, half, 0] = len(code)
+        enumerator[0, 0, 0, 0, 0, half] = sign * len(code)
+    series = _sum_of_products(enumerator, bases, _char_order_num(Fraction(-d, 24), steps))
+    if variant == "Ltilde":
+        series = series.half()
     _assert_vacuum(series, d)
     return NetCharacter(series, Fraction(d))
 
@@ -199,7 +203,8 @@ def lattice_net_char(group: Z4Code, steps: int = 5) -> NetCharacter:
     """
     d = group.length
     order = _char_order_num(Fraction(-d, 24), steps)
-    series = _sum_of_products(group.weight_profile(), _u14_chars(steps), order)
+    chis = [u14_sector_char(j, steps).series for j in range(4)]
+    series = _sum_of_products(group.weight_profile(), chis, order)
     _assert_vacuum(series, d)
     return NetCharacter(series, Fraction(d))
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from framednet import cli, codes, fusion
-from framednet.cli import EXTEND_D_LIMIT, GRAPH_D_LIMIT, POWER_D_LIMIT, main
+from framednet.cli import EXTEND_D_LIMIT, GRAPH_D_LIMIT, ORDER_LIMIT, POWER_D_LIMIT, main
 from framednet.qseries import DEN
 
 
@@ -115,6 +115,21 @@ class TestChar:
         code, out, err = run(capsys, command, "--code", "builtin:h8", "--order", "-2")
         assert code == 2 and out == ""
         assert "--order: must be nonnegative" in err
+
+    @pytest.mark.parametrize("command", ["char", "orbifold-char"])
+    def test_order_at_the_limit_parses(self, command):
+        args = cli.build_parser().parse_args([command, "--code", "builtin:h8",
+                                              "--order", str(ORDER_LIMIT)])
+        assert args.order == ORDER_LIMIT
+
+    @pytest.mark.parametrize("command", ["char", "orbifold-char"])
+    def test_order_above_the_limit_exit_2(self, capsys, command):
+        with pytest.raises(SystemExit) as e:
+            cli.build_parser().parse_args([command, "--code", "builtin:h8",
+                                           "--order", str(ORDER_LIMIT + 1)])
+        out, err = capsys.readouterr()
+        assert e.value.code == 2 and out == ""
+        assert f"--order: must be at most {ORDER_LIMIT}, got {ORDER_LIMIT + 1}" in err
 
 
 class TestCodeHypotheses:
@@ -238,6 +253,20 @@ class TestCache:
             assert err.startswith("warning: ignoring unreadable cache entry"), corrupt
             # the entry is rewritten and valid again
             assert json.loads(entry.read_text())["_manifest"] == manifest
+
+    def test_entry_of_another_program_recomputed(self, capsys, tmp_path, monkeypatch):
+        from framednet import netchar
+
+        cache = tmp_path / "cache"
+        args = ["--cache", str(cache), "char", "--code", "builtin:h8", "--order", "3"]
+        _, out1, _ = run(capsys, *args)
+        calls = []
+        real = netchar.frame_char
+        monkeypatch.setattr(netchar, "frame_char", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(cli, "_program_identity", lambda: "0" * 64)
+        code, out2, err = run(capsys, *args)
+        assert code == 0 and out2 == out1 and err == ""
+        assert len(calls) == 1 and len(list(cache.glob("*.json"))) == 2
 
     def test_no_temp_file_left(self, capsys, tmp_path):
         cache = tmp_path / "cache"

@@ -29,7 +29,6 @@ from framednet.codes import (
     delta_code,
     glue_vector,
     load_code,
-    pair_types,
     sigma2_code,
     validate_binary_code,
     z4_code_from_text,
@@ -188,13 +187,13 @@ class TestSweep:
 
 
 def _enumerated_pair_profile(code):
-    """The sweep's key (n11, n10, n01, last) of every codeword, counted
-    from tuples; an odd length's lone last coordinate pairs with a 0."""
+    """The sweep's key (n11, n10 + n01) of every codeword, counted from
+    tuples; an odd length's lone last coordinate pairs with a 0."""
     profile = Counter()
     for w in code.codewords():
         w = w + (0,) * (len(w) % 2)
         pairs = Counter(zip(w[0::2], w[1::2]))
-        profile[pairs[1, 1], pairs[1, 0], pairs[0, 1], 2 * w[-2] + w[-1]] += 1
+        profile[pairs[1, 1], pairs[1, 0] + pairs[0, 1]] += 1
     return dict(profile)
 
 
@@ -340,8 +339,26 @@ class TestZ4Codes:
         assert ones == threes  # negation symmetry exchanges symbols 1 and 3
 
 
+def _enumerated_pair_types(code, variant):
+    """Cosets of delta_code(code, variant) modulo {(00),(22)}^{d/2} counted
+    by their sorted coordinate pairs, each key a sorted ((a, b), count),
+    by listing every codeword: hat_section(c), and for Ltilde also
+    hat_section(c) + glue_vector(d)."""
+    d = code.length
+    shifts = [(0,) * d] + ([glue_vector(d)] if variant == "Ltilde" else [])
+    census = Counter()
+    for c in code.codewords():
+        v = codes._hat_section(c)
+        for shift in shifts:
+            w = [(a + b) % 4 for a, b in zip(v, shift)]
+            pairs = Counter(tuple(sorted(p)) for p in zip(w[::2], w[1::2]))
+            census[tuple(sorted(pairs.items()))] += 1
+    return dict(census)
+
+
 def _pair_type_profile(code, variant):
-    """Complete weight profile of delta_code(code, variant), from pair_types.
+    """Complete weight profile of delta_code(code, variant), from the
+    cosets' pair types counted by listing every codeword.
 
     A coset v + {(00),(22)}^{d/2} has the symbol-count polynomial
     prod over the pairs (a, b) of v of x_a x_b + x_{a+2} x_{b+2}.  For
@@ -350,7 +367,7 @@ def _pair_type_profile(code, variant):
     """
     signs = (1, -1) if variant == "Ltilde" else (1,)
     total = Counter()
-    for pairs, count in pair_types(code, variant).items():
+    for pairs, count in _enumerated_pair_types(code, variant).items():
         for s in signs:
             poly = {(0, 0, 0, 0): count}
             for (a, b), k in pairs:
@@ -428,6 +445,16 @@ def _h8_pairs_permuted():
     return _pairs_permuted(builtin_code("h8"), (2, 0, 3, 1))
 
 
+def _h8_shuffled():
+    # a coordinate permutation that does not keep the pairs
+    return _permuted(builtin_code("h8"), (0, 2, 1, 3, 4, 6, 5, 7))
+
+
+def _golay24_pairs_permuted():
+    # pair i moves to pair 5i + 3 mod 12, so the last pair changes
+    return _pairs_permuted(builtin_code("golay24"), [(5 * i + 3) % 12 for i in range(12)])
+
+
 def _h8_plus(rows8):
     """Direct sum of h8 and the length-8 code spanned by `rows8`."""
     rows = [list(g) + [0] * 8 for g in builtin_code("h8").generators]
@@ -447,10 +474,18 @@ def _h8_plus_ones8():
     return _h8_plus([[1] * 8])
 
 
+def _reed_muller_2_5():
+    """RM(2, 5): the monomials of degree <= 2 in 5 variables, evaluated at
+    the 32 points of F2^5."""
+    points = [[(x >> i) & 1 for i in range(5)] for x in range(32)]
+    monomials = [()] + [(i,) for i in range(5)] + list(combinations(range(5), 2))
+    return BinaryCode(32, [[int(all(p[i] for i in m)) for p in points] for m in monomials])
+
+
 class TestDeltaProfile:
-    """The frame route's pair-type sum against the character of the delta
-    code's complete weight profile, enumerated word by word, and against
-    the theta route; two of the codes are not self-dual."""
+    """The frame route's sum over pair weights against the character of
+    the delta code's complete weight profile, enumerated word by word, and
+    against the theta route; two of the codes are not self-dual."""
 
     @pytest.mark.parametrize(
         "make, variant",
@@ -459,6 +494,8 @@ class TestDeltaProfile:
             (lambda: builtin_code("h8"), "Ltilde"),
             (_h8_pairs_permuted, "L"),
             (_h8_pairs_permuted, "Ltilde"),
+            (_h8_shuffled, "L"),
+            (_h8_shuffled, "Ltilde"),
             (_h8_squared, "L"),
             (_h8_squared, "Ltilde"),
             (_ones8, "L"),
@@ -466,14 +503,28 @@ class TestDeltaProfile:
             (_h8_plus_ones8, "L"),
             (_h8_plus_ones8, "Ltilde"),
         ],
-        ids=["h8-L", "h8-Ltilde", "h8-permuted-L", "h8-permuted-Ltilde", "h8+h8-L",
-             "h8+h8-Ltilde", "1^8-L", "1^8-Ltilde", "h8+1^8-L", "h8+1^8-Ltilde"],
+        ids=["h8-L", "h8-Ltilde", "h8-permuted-L", "h8-permuted-Ltilde", "h8-shuffled-L",
+             "h8-shuffled-Ltilde", "h8+h8-L", "h8+h8-Ltilde", "1^8-L", "1^8-Ltilde",
+             "h8+1^8-L", "h8+1^8-Ltilde"],
     )
     def test_matches_enumeration(self, make, variant):
         code = make()
         frame = frame_char(code, variant, steps=6).series
         assert frame == lattice_net_char(delta_code(code, variant), steps=6).series
         assert frame == theta_over_eta(code, variant, steps=6).series
+
+    @pytest.mark.parametrize("steps", [0, 1, 3, 8])
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: builtin_code("golay24"), _golay24_pairs_permuted, _h8_squared, _reed_muller_2_5],
+        ids=["golay24", "golay24-pairs-permuted", "h8+h8", "rm25"],
+    )
+    def test_matches_theta(self, make, variant, steps):
+        # golay24 has d = 8 (mod 16), where the glue's last pair is 32;
+        # h8+h8 and rm25 have d = 0 (mod 16)
+        code = make()
+        assert frame_char(code, variant, steps).series == theta_over_eta(code, variant, steps).series
 
     @pytest.mark.parametrize("variant", ["L", "Ltilde"])
     def test_golay_matches_numpy_oracle(self, variant):
@@ -549,57 +600,6 @@ class TestDeltaProfile:
         loaded = self._framednet_modules_after(self._cli_script(*argv))
         assert "framednet.cli" in loaded
         assert not loaded & {f"framednet.{m}" for m in unloaded}
-
-
-def _enumerated_pair_types(code, variant):
-    """pair_types by listing every codeword: the tuple loop the sweep replaced."""
-    d = code.length
-    shifts = [(0,) * d] + ([glue_vector(d)] if variant == "Ltilde" else [])
-    census = Counter()
-    for c in code.codewords():
-        v = codes._hat_section(c)
-        for shift in shifts:
-            w = [(a + b) % 4 for a, b in zip(v, shift)]
-            pairs = Counter(tuple(sorted(p)) for p in zip(w[::2], w[1::2]))
-            census[tuple(sorted(pairs.items()))] += 1
-    return dict(census)
-
-
-def _golay24_pairs_permuted():
-    # pair i moves to pair 5i + 3 mod 12, so the last pair changes
-    return _pairs_permuted(builtin_code("golay24"), [(5 * i + 3) % 12 for i in range(12)])
-
-
-class TestPairTypes:
-    """pair_types read off the sweep's profile against the tuple loop."""
-
-    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: builtin_code("h8"),
-            _h8_pairs_permuted,
-            lambda: _permuted(builtin_code("h8"), (0, 2, 1, 3, 4, 6, 5, 7)),
-            _h8_squared,
-            _ones8,
-            _h8_plus_ones8,
-            lambda: builtin_code("golay24"),
-            _golay24_pairs_permuted,
-        ],
-        ids=["h8", "h8-pairs-permuted", "h8-shuffled", "h8+h8", "1^8", "h8+1^8",
-             "golay24", "golay24-pairs-permuted"],
-    )
-    def test_matches_enumeration(self, make, variant):
-        code = make()
-        assert pair_types(code, variant) == _enumerated_pair_types(code, variant)
-
-
-def _reed_muller_2_5():
-    """RM(2, 5): the monomials of degree <= 2 in 5 variables, evaluated at
-    the 32 points of F2^5."""
-    points = [[(x >> i) & 1 for i in range(5)] for x in range(32)]
-    monomials = [()] + [(i,) for i in range(5)] + list(combinations(range(5), 2))
-    return BinaryCode(32, [[int(all(p[i] for i in m)) for p in points] for m in monomials])
 
 
 class TestRank32:

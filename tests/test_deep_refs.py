@@ -1,6 +1,7 @@
-"""Deep series, byte for byte: a few requests at orders 125-150, run
-in-process and compared with the digests the benchmark's references
-(perfbench/refs.json) record for them.  The benchmark's own checker
+"""Series byte for byte against the benchmark's references: a few deep
+requests at orders 125-150, and the frame route on golay24 at the orders
+of the frame workload, run in-process and compared with the digests that
+perfbench/refs.json records for them.  The benchmark's own checker
 computes the digests; perfbench/ is only read.
 """
 
@@ -37,6 +38,9 @@ DEEP = [
     Request("orbifold-char", "golay24", "Ltilde", 150, pieces=True),
     # both routes: h8/Ltilde/code/150 and h8/Ltilde/theta/150
     Request("char", "h8", "Ltilde", 150, "both"),
+    # the frame route on the frame workload's code, at both of its glue signs
+    Request("char", "golay24", "L", 4, "code"),
+    Request("char", "golay24", "Ltilde", 8, "code"),
 ]
 
 
