@@ -37,9 +37,10 @@ GRAPH_D_LIMIT = 8
 # 4300 digits (its default limit) to text; 4^(d+1) has at most 4300 digits
 # up to this d.
 POWER_D_LIMIT = 7141
-# extend holds about 3d generators of d symbols each (two duals), so its
-# memory grows as d^2: with one generator 22 0...0, d = 1600 took 0.79 s and
-# 76 MB, and d = 3200 (a library call) 2.7 s and 258 MB (2-core Xeon, Python 3.11.7).
+# extend's time grows with the generators of H and of its two duals: at
+# d = 1600, one generator 22 0...0 took 0.11 s and 18 MB, and 799 generators
+# 2222 on four adjacent coordinates 1.8 s and 27 MB (fresh process, 2-core
+# Xeon, Python 3.11.7).
 EXTEND_D_LIMIT = 1600
 # a series' cost grows about as order^2: golay24/Ltilde `char --route both`
 # took 14 s at order 600, 41 s (26 MB) at 1000 and 63 s at 1200, and
@@ -56,11 +57,6 @@ class InputError(Exception):
 # helpers
 
 
-def _check_code_file(spec: str) -> None:
-    if not spec.startswith("builtin:") and not os.path.exists(spec):
-        raise InputError(f"code file not found: {spec}")
-
-
 def _read_text(path: str, kind: str) -> str:
     """The text of an input file; a missing, unreadable or non-UTF-8 file
     is bad input."""
@@ -75,37 +71,21 @@ def _read_text(path: str, kind: str) -> str:
         raise InputError(f"{kind} file is not UTF-8 text: {e}")
 
 
-def _load_code(spec: str):
-    """The `codes.BinaryCode` named by a builtin:<name> spec or a file path.
+def _load_code(spec: str, text: Optional[str] = None):
+    """The `codes.BinaryCode` named by a builtin:<name> spec or a file path,
+    parsed from `text` when the caller has already read the file.
 
     A file that cannot be read or parsed, or an unknown builtin name, is
     bad input; the code hypotheses are checked by the commands.
     """
-    from .codes import CodeError, load_code
+    from .codes import CodeError, binary_code_from_text, builtin_code
 
-    _check_code_file(spec)
     try:
-        return load_code(spec)
-    except (OSError, CodeError) as e:
+        if spec.startswith("builtin:"):
+            return builtin_code(spec.split(":", 1)[1])
+        return binary_code_from_text(_read_text(spec, "code") if text is None else text)
+    except CodeError as e:
         raise InputError(str(e))
-    except UnicodeDecodeError as e:
-        raise InputError(f"code file is not UTF-8 text: {e}")
-
-
-def _code_identity(spec: str) -> str:
-    """Stable content hash of the code input for cache keys."""
-    import hashlib
-
-    _check_code_file(spec)
-    if spec.startswith("builtin:"):
-        payload = spec.encode()
-    else:
-        try:
-            with open(spec, "rb") as fh:
-                payload = fh.read()
-        except OSError as e:
-            raise InputError(str(e))
-    return hashlib.sha256(payload).hexdigest()
 
 
 def _program_identity() -> str:
@@ -154,15 +134,19 @@ def _cache_dir(args) -> Optional[str]:
 
 
 def _cached(args, spec: str, request: dict, compute) -> dict:
-    """Content-addressed cache: key is the hash of the request manifest,
+    """compute(code) for the code named by `spec`, through the
+    content-addressed cache: key is the hash of the request manifest,
     which names the code by the hash of its content and the program by
-    the hash of its sources."""
+    the hash of its sources.  The code file is read once, so a miss
+    parses the text it hashed."""
     cache = _cache_dir(args)
     if not cache:
-        return compute()
+        return compute(_load_code(spec))
     import hashlib
 
-    key_doc = {**request, "code": _code_identity(spec), "program": _program_identity()}
+    text = spec if spec.startswith("builtin:") else _read_text(spec, "code")
+    code_id = hashlib.sha256(text.encode()).hexdigest()
+    key_doc = {**request, "code": code_id, "program": _program_identity()}
     key = hashlib.sha256(
         json.dumps(key_doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -178,7 +162,7 @@ def _cached(args, spec: str, request: dict, compute) -> dict:
             raise ValueError("manifest mismatch")
         except (ValueError, OSError) as e:
             print(f"warning: ignoring unreadable cache entry {path}: {e}", file=sys.stderr)
-    result = compute()
+    result = compute(_load_code(spec, text))
     # A name of this writer's own, so concurrent writers never share a temp
     # file; opened like any new file so the entry keeps the umask's mode.
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
@@ -247,10 +231,9 @@ def _cmd_validate_code(args) -> int:
 def _char_series(spec: str, variant: str, order: int, route: str, args) -> dict:
     request = {"command": "char", "variant": variant, "order": order, "route": route}
 
-    def compute() -> dict:
+    def compute(code) -> dict:
         from . import codes, netchar
 
-        code = _load_code(spec)
         codes.check_holomorphic_hypotheses(code)
         series = {}
         if route in ("code", "both"):
@@ -280,10 +263,9 @@ def _cmd_orbifold_char(args) -> int:
         "pieces": bool(args.pieces),
     }
 
-    def compute() -> dict:
+    def compute(code) -> dict:
         from . import orbifold
 
-        code = _load_code(args.code)
         p = orbifold.orbifold_pieces(code, args.variant, args.order)
         ch = orbifold.vacuum_char_from_pieces(p)
         doc = ch.series.to_json_dict()

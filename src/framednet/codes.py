@@ -3,7 +3,10 @@
 Only this module knows how rows are stored: an F2 row is an int, bit i for
 coordinate i, and a Z4 word two such bit planes (lo, hi), symbol lo + 2*hi.
 One reduced row echelon form and one kernel serve every code, and symbol
-tuples appear only at the public edge (`generators`, `codewords()`, `in`).
+tuples appear only at the public edge (`generators`, `codewords()`, `in`,
+the element `non_integral_element` returns).  The Z4 arithmetic of a simple
+current extension, the weight check and the presentation of H-perp / H, is
+done here on planes too.
 
 Each binary code is enumerated once, when it is certified: one Gray-code
 sweep over its words packed as two ints, the bit planes of its even and
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
-from itertools import compress, product
+from itertools import combinations, compress, product
 from operator import add, xor
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -332,8 +335,8 @@ class Z4Code:
     with 2*Z4^d that holds the double of every unit row.  Summing each
     basis row with coefficients in {0,1} hits every codeword exactly once,
     so the cardinality is 2^(number of basis rows).  Rows are bit planes,
-    each layer with the mask of its pivots.  Construction, membership and
-    growing the span (`add`) share one reduction.
+    each layer with the mask of its pivots.  Construction, membership, the
+    subcode order `<=` and growing the span (`add`) share one reduction.
     """
 
     def __init__(self, length: int, generators: Iterable[Sequence[int]]):
@@ -348,6 +351,15 @@ class Z4Code:
                 raise CodeError("generator length mismatch")
             self._gens.append(_planes(g))
             self._add(*self._gens[-1])
+
+    @classmethod
+    def _from_planes(cls, length: int, planes: Iterable[Planes]) -> Z4Code:
+        """The code generated by words given as bit planes, in this order."""
+        code = cls(length, ())
+        for lo, hi in planes:
+            code._gens.append((lo, hi))
+            code._add(lo, hi)
+        return code
 
     @cached_property
     def generators(self) -> Tuple[Vector, ...]:
@@ -399,6 +411,10 @@ class Z4Code:
 
     def __contains__(self, v: Sequence[int]) -> bool:
         return len(v) == self.length and self._reduce(*_planes(v)) == (0, 0)
+
+    def __le__(self, other: Z4Code) -> bool:
+        """Whether this code is a subcode of `other`."""
+        return self.length == other.length and all(other._reduce(*g) == (0, 0) for g in self._gens)
 
     def residue_code(self) -> BinaryCode:
         """The code mod 2, spanned by the unit rows' low planes."""
@@ -456,11 +472,62 @@ def z4_dual_code(code: Z4Code) -> Z4Code:
     solved = _rref(augmented).items()
     gens = [(k, sum(p for p, row in solved if row >> d + j & 1)) for j, k in enumerate(kernel)]
     gens += [(0, z) for z in _kernel([lo for lo, _ in code._units.values()], d)]
-    dual = Z4Code(d, ())
-    dual._gens = gens or [(0, 0)]
-    for lo, hi in dual._gens:
-        dual._add(lo, hi)
-    return dual
+    return Z4Code._from_planes(d, gens or [(0, 0)])
+
+
+# ---------------------------------------------------------------------------
+# simple current extensions of Z4^d, where h(x) = sum x_i^2 / 8 mod 1
+
+
+def non_integral_element(H: Z4Code) -> Optional[Vector]:
+    """An element of H whose weight is not an integer, or None if there is none.
+
+    h is a quadratic form with polar form b(x, y) = sum x_i y_i / 4, so it
+    vanishes on H iff it vanishes on each generator and b vanishes on each
+    pair of them.  For a pair (g, k) of integral generators with
+    b(g, k) != 0, g + k is the element.  In planes x_i^2 is 1 (mod 8) where
+    lo is set and 4 where only hi is, so sum x_i^2 = |lo| + 4 |hi & ~lo|,
+    and x_i y_i = lo lo' + 2 (lo hi' + hi lo') (mod 4).
+    """
+    gens = H._gens
+    for lo, hi in gens:
+        if (lo.bit_count() + 4 * (hi & ~lo).bit_count()) % 8:
+            return _word(lo, hi, H.length)
+    for (alo, ahi), (blo, bhi) in combinations(gens, 2):
+        if ((alo & blo).bit_count() + 2 * ((alo & bhi).bit_count() + (ahi & blo).bit_count())) % 4:
+            return _word(alo ^ blo, ahi ^ bhi ^ (alo & blo), H.length)
+    return None
+
+
+def quotient_basis(H: Z4Code, dual: Z4Code) -> Tuple[Tuple[int, ...], Z4Code]:
+    """Generators of dual / H, presenting it as Z4^a x Z2^b: their orders,
+    and a code whose `generators` are the basis in the same order.
+
+    H is isotropic and dual is H-perp.  The quotient Q is killed by 4, so
+    a = dim 2Q and b = dim Q[2] - dim 2Q.  One span, a copy of H, grows as
+    the generators are found:
+
+    - the order-4 generators are generators x of H-perp whose doubles are
+      independent modulo the span; those doubles span 2Q;
+    - Q[2] is (H-perp cap B) / H with B = {b : 2b in H}.  Since
+      x.(2y) = (2x).y, x is orthogonal to 2*H-perp iff 2x is in
+      H-perp-perp = H, so B = (2*H-perp)-perp and H-perp cap B =
+      (H + 2*H-perp)-perp, the dual of the span once every double is in.
+      The order-2 generators are generators y of this second dual that
+      are independent modulo the span.
+
+    A relation sum c_i x_i + sum e_j y_j in H forces every c_i even (double
+    it), then every e_j zero and every c_i = 0 mod 4, so the presentation
+    is faithful; 2a + b = log2 |Q| checks that it is onto.  The double of
+    a word (lo, hi) is (0, lo).
+    """
+    span = Z4Code._from_planes(H.length, H._gens)
+    basis = [(x, 4) for x in dual._gens if span._add(0, x[0])]
+    basis += [(y, 2) for y in z4_dual_code(span)._gens if span._add(*y)]
+    orders = tuple(o for _, o in basis)
+    if sum(o // 2 for o in orders) != dual.log2_size - H.log2_size:
+        raise CodeError("quotient generators do not present H-perp / H")
+    return orders, Z4Code._from_planes(H.length, (x for x, _ in basis))
 
 
 def z4_code_from_text(text: str) -> Z4Code:

@@ -8,20 +8,20 @@ The orbifold's sectors are read off x -> -x on Z4^d: the census counts
 them in integers (the squared dimensions 4, 1 and 2^d are integers), and
 the branching graph draws each sector's edges from its label.
 
-The extension of Z4^d by a Z4 code H is linear algebra that `codes` does
-on packed rows: the weight check reads H's generators and their pairs,
-the surviving sectors H-perp / H are presented as Z4^a x Z2^b from two
-dual codes and one span grown by `Z4Code.add`, and every size is
-2^log2_size.  No codeword of H or H-perp is listed, and no row is packed here.
+The extension of Z4^d by a Z4 code H is bookkeeping over Z4 arithmetic
+that `codes` does on packed rows: the weight check on H's generators and
+their pairs, the isotropy check H <= H-perp, and the presentation of the
+surviving sectors H-perp / H as Z4^a x Z2^b.  Every size is 2^log2_size.
+No codeword of H or H-perp is listed, and no symbol is summed here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .codes import BinaryCode, Z4Code, z4_dual_code
+from .codes import BinaryCode, Z4Code, non_integral_element, quotient_basis, z4_dual_code
 
 Element = Tuple[int, ...]
 HALF = Fraction(1, 2)
@@ -33,25 +33,7 @@ class FusionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# simple current extensions of Z4^d, where h(x) = sum x_i^2 / 8 mod 1
-
-
-def _non_integral_element(H: Z4Code) -> Optional[Element]:
-    """An element of H whose weight is not an integer, or None if there is none.
-
-    h is a quadratic form with polar form b(x, y) = sum x_i y_i / 4, so it
-    vanishes on H iff it vanishes on each generator and b vanishes on each
-    pair of them.  For a pair (g, k) of integral generators with
-    b(g, k) != 0, g + k is the element.
-    """
-    gens = H.generators
-    for g in gens:
-        if sum(a * a for a in g) % 8:
-            return g
-    for g, k in combinations(gens, 2):
-        if sum(a * b for a, b in zip(g, k)) % 4:
-            return tuple((a + b) % 4 for a, b in zip(g, k))
-    return None
+# simple current extensions of Z4^d
 
 
 class ExtensionResult(NamedTuple):
@@ -60,40 +42,6 @@ class ExtensionResult(NamedTuple):
     mu_after: Fraction
     quotient_orders: Optional[Tuple[int, ...]]
     offending: Optional[Element] = None
-
-
-def _quotient_basis(H: Z4Code, dual: Z4Code) -> List[Tuple[Element, int]]:
-    """Generators of dual / H with their orders, presenting it as Z4^a x Z2^b.
-
-    H is isotropic and dual is H-perp.  The quotient Q is killed by 4, so
-    a = dim 2Q and b = dim Q[2] - dim 2Q.  One span, a copy of H, grows as
-    the generators are found:
-
-    - the order-4 generators are generators x of H-perp whose doubles are
-      independent modulo the span; those doubles span 2Q;
-    - Q[2] is (H-perp cap B) / H with B = {b : 2b in H}.  Since
-      x.(2y) = (2x).y, x is orthogonal to 2*H-perp iff 2x is in
-      H-perp-perp = H, so B = (2*H-perp)-perp and H-perp cap B =
-      (H + 2*H-perp)-perp, the dual of the span once every double is in.
-      The order-2 generators are generators y of this second dual that
-      are independent modulo the span.
-
-    A relation sum c_i x_i + sum e_j y_j in H forces every c_i even (double
-    it), then every e_j zero and every c_i = 0 mod 4, so the presentation
-    is faithful; 2a + b = log2 |Q| checks that it is onto.
-    """
-    span = Z4Code(H.length, H.generators)
-    basis: List[Tuple[Element, int]] = []
-    for x in dual.generators:
-        if span.add([2 * a for a in x]):
-            basis.append((x, 4))
-    two_torsion = z4_dual_code(span)
-    for y in two_torsion.generators:
-        if span.add(y):
-            basis.append((y, 2))
-    if sum(2 if o == 4 else 1 for _, o in basis) != dual.log2_size - H.log2_size:
-        raise FusionError("quotient generators do not present H-perp / H")
-    return basis
 
 
 def simple_current_extension(H: Z4Code) -> ExtensionResult:
@@ -106,16 +54,13 @@ def simple_current_extension(H: Z4Code) -> ExtensionResult:
     basis-row counts, so no codeword is enumerated.
     """
     mu_before = 4 ** H.length
-    offending = _non_integral_element(H)
+    offending = non_integral_element(H)
     orders = None
     if offending is None:
         dual = z4_dual_code(H)
-        for g in H.generators:
-            if g not in dual:
-                raise FusionError("integer-weight subgroup is not isotropic")
-        orders = ()
-        if dual.log2_size != H.log2_size:
-            orders = tuple(o for _, o in _quotient_basis(H, dual))
+        if not H <= dual:
+            raise FusionError("integer-weight subgroup is not isotropic")
+        orders, _ = quotient_basis(H, dual)
     mu_after = Fraction(mu_before, 1 << (2 * H.log2_size))
     return ExtensionResult(offending is None, mu_before, mu_after, orders, offending)
 

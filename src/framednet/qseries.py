@@ -174,21 +174,6 @@ class QSeries:
         }
 
 
-def binom(p: int, k: int) -> int:
-    """Binomial coefficient C(p, k) for any integer p and k >= 0."""
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= p - i
-    den = 1
-    for i in range(1, k + 1):
-        den *= i
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
-
-
 PRODUCT_KINDS = ("1-q^n", "1+q^n", "1-q^{n-1/2}", "1+q^{n-1/2}")
 
 
@@ -211,9 +196,11 @@ def product_form(kind: str, power: int, order: ExpLike) -> QSeries:
         if e_num >= order_num:
             break
         factor_terms = {0: 1}
+        coeff = 1  # sign^k C(power, k); k C(p, k) = (p - k + 1) C(p, k - 1) exactly
         k = 1
         while k * e_num < order_num:
-            factor_terms[k * e_num] = binom(power, k) * (sign ** k)
+            coeff = coeff * sign * (power - k + 1) // k
+            factor_terms[k * e_num] = coeff
             if power >= 0 and k >= power:
                 break
             k += 1

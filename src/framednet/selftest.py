@@ -73,7 +73,7 @@ def criterion_5_holomorphy() -> None:
     """Extensions by both delta codes are allowed with mu-index exactly 1."""
     for name in ("h8", "golay24"):
         H = codes.builtin_delta(name, "Ltilde" if name == "golay24" else "L")
-        assert fusion._non_integral_element(H) is None, f"{name}: non-integral weight"
+        assert codes.non_integral_element(H) is None, f"{name}: non-integral weight"
         result = fusion.simple_current_extension(H)
         assert result.allowed, f"{name}: extension rejected"
         assert result.mu_after == 1, f"{name}: mu_after = {result.mu_after}"

@@ -276,6 +276,21 @@ class TestCache:
         assert code1 == code2 == 0 and out2 == out1
         assert [p.suffix for p in cache.iterdir()] == [".json"]
 
+    def test_miss_reads_the_code_file_once(self, capsys, tmp_path, monkeypatch):
+        # the text that names the entry is the text the series is built from
+        path = write_input(tmp_path / "h8.txt", codes.HAMMING8_TEXT)
+        opened = []
+        real_open = open
+
+        def counted(file, *args, **kwargs):
+            opened.extend([file] if str(file) == str(path) else [])
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counted)
+        args = ["--cache", str(tmp_path / "cache"), "char", "--code", str(path), "--order", "3"]
+        code, _, _ = run(capsys, *args)
+        assert code == 0 and len(opened) == 1
+
     def test_env_var_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
         monkeypatch.setenv("FRAMEDNET_CACHE", str(cache))
@@ -411,6 +426,16 @@ class TestExtend:
             assert code == 0 and json.loads(out)["quotient_orders"] == [4] * (d - 2) + [2, 2]
             counts.append(len(built))
         assert counts[0] == counts[1] == counts[2]
+
+    def test_no_symbol_tuple_built(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        word = codes._word
+        monkeypatch.setattr(codes, "_word", lambda *a: calls.append(a) or word(*a))
+        for d in (50, 200):
+            path = write_input(tmp_path / f"h{d}.txt", "22" + "0" * (d - 2) + "\n")
+            code, out, _ = run(capsys, "extend", "--system", f"z4pow:{d}", "--subgroup", str(path))
+            assert code == 0 and json.loads(out)["quotient_orders"] == [4] * (d - 2) + [2, 2]
+        assert calls == []
 
     def test_dimension_at_the_limit(self, capsys, tmp_path):
         d = EXTEND_D_LIMIT

@@ -4,14 +4,16 @@ counts.
 The pointed systems (a finite abelian group with a weight map), the
 rank-one system, the spin power rule and the Miyamoto sign involutions
 have no caller in the program; they live here as test helpers, and so
-does the integer diagonalization that checks the Z4 duals.
+does the integer diagonalization that checks the Z4 duals.  The weight
+check and the quotient presentation on symbol tuples, which `codes` now
+does on bit planes, stay here as their oracles.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from itertools import combinations, product
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,12 +24,13 @@ from framednet.codes import (
     builtin_code,
     builtin_delta,
     delta_code,
+    non_integral_element,
+    quotient_basis,
+    sigma2_code,
     z4_dual_code,
 )
 from framednet.fusion import (
     FusionError,
-    _non_integral_element,
-    _quotient_basis,
     framed_from_code,
     framed_structure,
     fusion_group_disambiguation,
@@ -100,8 +103,74 @@ def rehren_relation_holds(sys_: PointedSystem, x, n: int) -> bool:
     return sys_.h(nx) == (n * n * sys_.weight(x)) % 1
 
 
+def _non_integral_element(H: Z4Code) -> Optional[Element]:
+    """An element of H whose weight is not an integer, or None if there is none.
+
+    h is a quadratic form with polar form b(x, y) = sum x_i y_i / 4, so it
+    vanishes on H iff it vanishes on each generator and b vanishes on each
+    pair of them.  For a pair (g, k) of integral generators with
+    b(g, k) != 0, g + k is the element.
+    """
+    gens = H.generators
+    for g in gens:
+        if sum(a * a for a in g) % 8:
+            return g
+    for g, k in combinations(gens, 2):
+        if sum(a * b for a, b in zip(g, k)) % 4:
+            return tuple((a + b) % 4 for a, b in zip(g, k))
+    return None
+
+
+def _quotient_basis(H: Z4Code, dual: Z4Code) -> List[Tuple[Element, int]]:
+    """Generators of dual / H with their orders, presenting it as Z4^a x Z2^b.
+
+    H is isotropic and dual is H-perp.  The quotient Q is killed by 4, so
+    a = dim 2Q and b = dim Q[2] - dim 2Q.  One span, a copy of H, grows as
+    the generators are found:
+
+    - the order-4 generators are generators x of H-perp whose doubles are
+      independent modulo the span; those doubles span 2Q;
+    - Q[2] is (H-perp cap B) / H with B = {b : 2b in H}.  Since
+      x.(2y) = (2x).y, x is orthogonal to 2*H-perp iff 2x is in
+      H-perp-perp = H, so B = (2*H-perp)-perp and H-perp cap B =
+      (H + 2*H-perp)-perp, the dual of the span once every double is in.
+      The order-2 generators are generators y of this second dual that
+      are independent modulo the span.
+
+    A relation sum c_i x_i + sum e_j y_j in H forces every c_i even (double
+    it), then every e_j zero and every c_i = 0 mod 4, so the presentation
+    is faithful; 2a + b = log2 |Q| checks that it is onto.
+    """
+    span = Z4Code(H.length, H.generators)
+    basis: List[Tuple[Element, int]] = []
+    for x in dual.generators:
+        if span.add([2 * a for a in x]):
+            basis.append((x, 4))
+    two_torsion = z4_dual_code(span)
+    for y in two_torsion.generators:
+        if span.add(y):
+            basis.append((y, 2))
+    if sum(2 if o == 4 else 1 for _, o in basis) != dual.log2_size - H.log2_size:
+        raise FusionError("quotient generators do not present H-perp / H")
+    return basis
+
+
 def integral(H: Z4Code) -> bool:
-    return _non_integral_element(H) is None
+    """Whether every element of H has integer weight, by the plane check,
+    which must return the tuple oracle's element."""
+    offending = non_integral_element(H)
+    assert offending == _non_integral_element(H)
+    return offending is None
+
+
+def _basis(H: Z4Code) -> List[Tuple[Element, int]]:
+    """The quotient presentation of H-perp / H on planes, checked against
+    the tuple oracle: the same orders and the same elements."""
+    dual = z4_dual_code(H)
+    orders, code = quotient_basis(H, dual)
+    basis = list(zip(code.generators, orders))
+    assert basis == _quotient_basis(H, dual)
+    return basis
 
 
 class SignedDecomposition(NamedTuple):
@@ -333,7 +402,7 @@ def _combinations(basis, d):
 
 def _quotient_words(H):
     """One word of H-perp for each coset of H, from the quotient's presentation."""
-    return list(_combinations(_quotient_basis(H, z4_dual_code(H)), H.length))
+    return list(_combinations(_basis(H), H.length))
 
 
 class TestQuotientAgainstEnumeration:
@@ -344,7 +413,7 @@ class TestQuotientAgainstEnumeration:
     def test_matches_coset_enumeration(self, H):
         dual = z4_dual_code(H)
         orders, reps = _oracle_quotient(H)
-        basis = _quotient_basis(H, dual)
+        basis = _basis(H)
         assert tuple(o for _, o in basis) == orders
         # faithful: the combinations hit distinct cosets, all inside H-perp
         cosets = set()
@@ -449,6 +518,16 @@ class TestDualCodes:
         assert all(g in oracle for g in dual.generators)
         assert all(g in dual for g in oracle.generators)
 
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(_z4_codes())
+    @example(Z4Code(2, [(2, 2)]))  # isotropic
+    def test_subcode_order_reads_isotropy(self, code):
+        gens = code.generators
+        isotropic = all(sum(a * b for a, b in zip(g, k)) % 4 == 0 for g in gens for k in gens)
+        assert code <= code and code <= Z4Code(code.length, [(1,) * code.length, *gens])
+        assert (code <= z4_dual_code(code)) is isotropic
+        assert not code <= Z4Code(code.length + 1, [(1,) * (code.length + 1)])
+
     def test_dual_pairing_vanishes(self):
         H = builtin_delta("h8", "Ltilde")
         dual = z4_dual_code(H)
@@ -460,6 +539,34 @@ class TestDualCodes:
         for code in (Z4Code(2, [(1, 1)]), Z4Code(2, [(2, 0)]), Z4Code(3, [(1, 2, 3)])):
             dual = z4_dual_code(code)
             assert len(code) * len(dual) == 4 ** code.length
+
+
+def _pair_failing():
+    """Every generator has integer weight, but the polar form of the first
+    and second, and of the second and third, does not."""
+    return Z4Code(16, [(1,) * 8 + (0,) * 8, (0,) * 6 + (1,) * 8 + (0,) * 2, (0,) * 8 + (1,) * 8])
+
+
+class TestAgainstTupleOracles:
+    """The plane versions of the weight check and the quotient presentation
+    against the tuple versions, on codes too large to enumerate."""
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(_z4_codes())
+    @example(_pair_failing())
+    @example(builtin_delta("golay24", "L"))
+    def test_same_offender_and_quotient(self, H):
+        if integral(H):
+            basis = _basis(H)
+            assert simple_current_extension(H).quotient_orders == tuple(o for _, o in basis)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_2222_blocks(self, n):
+        # 2222 on pairs i and i + 1 for i < n - 1, at d = 2n: |H| = 2^(n-1),
+        # so log2 |H-perp / H| = 4n - 2(n - 1), as Z4^2 x Z2^(2n-2)
+        H = sigma2_code(n, zero_variant=True)
+        assert integral(H)
+        assert [o for _, o in _basis(H)] == [4, 4] + [2] * (2 * n - 2)
 
 
 class TestDisambiguation:

@@ -64,7 +64,7 @@ def test_perfbench_test_names_found():
 SRC = Path(__file__).resolve().parent.parent / "src" / "framednet"
 
 
-@pytest.mark.parametrize("module", ["cli", "netchar", "orbifold", "fusion"])
+@pytest.mark.parametrize("module", ["cli", "netchar", "orbifold", "fusion", "selftest"])
 def test_uses_only_public_code_surface(module):
     """Only codes knows how rows are packed: the other modules import no
     private name from it and read no private attribute except their own,
