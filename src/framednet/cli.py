@@ -78,12 +78,12 @@ def _load_code(spec: str, text: Optional[str] = None):
     A file that cannot be read or parsed, or an unknown builtin name, is
     bad input; the code hypotheses are checked by the commands.
     """
-    from .codes import CodeError, binary_code_from_text, builtin_code
+    from .codes import CodeError, load_code
 
+    if text is None and not spec.startswith("builtin:"):
+        text = _read_text(spec, "code")
     try:
-        if spec.startswith("builtin:"):
-            return builtin_code(spec.split(":", 1)[1])
-        return binary_code_from_text(_read_text(spec, "code") if text is None else text)
+        return load_code(spec, text)
     except CodeError as e:
         raise InputError(str(e))
 
@@ -136,16 +136,19 @@ def _cache_dir(args) -> Optional[str]:
 def _cached(args, spec: str, request: dict, compute) -> dict:
     """compute(code) for the code named by `spec`, through the
     content-addressed cache: key is the hash of the request manifest,
-    which names the code by the hash of its content and the program by
-    the hash of its sources.  The code file is read once, so a miss
-    parses the text it hashed."""
+    which names a builtin code by its name, a code file by the hash of its
+    text, and the program by the hash of its sources.  The code file is
+    read once, so a miss parses the text it hashed."""
     cache = _cache_dir(args)
     if not cache:
         return compute(_load_code(spec))
     import hashlib
 
-    text = spec if spec.startswith("builtin:") else _read_text(spec, "code")
-    code_id = hashlib.sha256(text.encode()).hexdigest()
+    if spec.startswith("builtin:"):
+        text, code_id = None, {"builtin": spec.split(":", 1)[1]}
+    else:
+        text = _read_text(spec, "code")
+        code_id = {"text": hashlib.sha256(text.encode()).hexdigest()}
     key_doc = {**request, "code": code_id, "program": _program_identity()}
     key = hashlib.sha256(
         json.dumps(key_doc, sort_keys=True, separators=(",", ":")).encode()

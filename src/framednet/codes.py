@@ -303,12 +303,15 @@ def builtin_code(name: str) -> BinaryCode:
     return code
 
 
-def load_code(spec: str) -> BinaryCode:
-    """Resolve ``builtin:<name>`` or a file path to a BinaryCode."""
+def load_code(spec: str, text: Optional[str] = None) -> BinaryCode:
+    """Resolve ``builtin:<name>`` or a file path to a BinaryCode, parsing
+    `text` in place of the file when the caller has already read it."""
     if spec.startswith("builtin:"):
         return builtin_code(spec.split(":", 1)[1])
-    with open(spec, encoding="utf-8") as fh:
-        return binary_code_from_text(fh.read())
+    if text is None:
+        with open(spec, encoding="utf-8") as fh:
+            text = fh.read()
+    return binary_code_from_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +502,9 @@ def non_integral_element(H: Z4Code) -> Optional[Vector]:
     return None
 
 
-def quotient_basis(H: Z4Code, dual: Z4Code) -> Tuple[Tuple[int, ...], Z4Code]:
+def quotient_basis(H: Z4Code, dual: Z4Code) -> Tuple[Tuple[int, ...], List[Planes]]:
     """Generators of dual / H, presenting it as Z4^a x Z2^b: their orders,
-    and a code whose `generators` are the basis in the same order.
+    and the generators as bit planes in the same order.
 
     H is isotropic and dual is H-perp.  The quotient Q is killed by 4, so
     a = dim 2Q and b = dim Q[2] - dim 2Q.  One span, a copy of H, grows as
@@ -527,7 +530,7 @@ def quotient_basis(H: Z4Code, dual: Z4Code) -> Tuple[Tuple[int, ...], Z4Code]:
     orders = tuple(o for _, o in basis)
     if sum(o // 2 for o in orders) != dual.log2_size - H.log2_size:
         raise CodeError("quotient generators do not present H-perp / H")
-    return orders, Z4Code._from_planes(H.length, (x for x, _ in basis))
+    return orders, [x for x, _ in basis]
 
 
 def z4_code_from_text(text: str) -> Z4Code:

@@ -291,6 +291,15 @@ class TestCache:
         code, _, _ = run(capsys, *args)
         assert code == 0 and len(opened) == 1
 
+    def test_file_named_like_a_builtin_is_not_the_builtin(self, capsys, tmp_path):
+        # a file whose text is a builtin spec is malformed, cached or not
+        path = write_input(tmp_path / "spec.txt", "builtin:h8")
+        cache = ["--cache", str(tmp_path / "cache")]
+        assert run(capsys, *cache, "char", "--code", "builtin:h8", "--order", "3")[0] == 0
+        plain = run(capsys, "char", "--code", str(path), "--order", "3")
+        assert plain[0] == 2
+        assert run(capsys, *cache, "char", "--code", str(path), "--order", "3") == plain
+
     def test_env_var_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
         monkeypatch.setenv("FRAMEDNET_CACHE", str(cache))

@@ -18,6 +18,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from framednet import codes
 from framednet.codes import (
     BinaryCode,
     Z4Code,
@@ -167,8 +168,8 @@ def _basis(H: Z4Code) -> List[Tuple[Element, int]]:
     """The quotient presentation of H-perp / H on planes, checked against
     the tuple oracle: the same orders and the same elements."""
     dual = z4_dual_code(H)
-    orders, code = quotient_basis(H, dual)
-    basis = list(zip(code.generators, orders))
+    orders, planes = quotient_basis(H, dual)
+    basis = [(codes._word(lo, hi, H.length), o) for (lo, hi), o in zip(planes, orders)]
     assert basis == _quotient_basis(H, dual)
     return basis
 
