@@ -38,14 +38,14 @@ GRAPH_D_LIMIT = 8
 # up to this d.
 POWER_D_LIMIT = 7141
 # extend's time grows with the generators of H and of its two duals: at
-# d = 1600, one generator 22 0...0 took 0.11 s and 18 MB, and 799 generators
-# 2222 on four adjacent coordinates 1.8 s and 27 MB (fresh process, 2-core
+# d = 1600, one generator 22 0...0 took 0.10 s and 18 MB, and 799 generators
+# 2222 on four adjacent coordinates 1.5 s and 27 MB (fresh process, 2-core
 # Xeon, Python 3.11.7).
 EXTEND_D_LIMIT = 1600
-# a series' cost grows about as order^2: golay24/Ltilde `char --route both`
-# took 14 s at order 600, 41 s (26 MB) at 1000 and 63 s at 1200, and
-# `orbifold-char --pieces` 34 s at 1200 (fresh process, 2-core Xeon,
-# Python 3.11.7).
+# a series' cost grows about as order^2: at order 1000, golay24/Ltilde
+# `char --route both` took 25 s (24 MB), of which the code route is most,
+# `char --route theta` 3.5 s (17 MB) and `orbifold-char --pieces` 8.5 s
+# (24 MB) (fresh process, 2-core Xeon, Python 3.11.7).
 ORDER_LIMIT = 1000
 
 

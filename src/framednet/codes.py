@@ -99,11 +99,19 @@ def _rref(rows: Iterable[int]) -> Dict[int, int]:
 
 def _kernel(rows: Iterable[int], n: int) -> List[int]:
     """A basis of {x in F2^n : r.x = 0 for every row r}: for each free
-    coordinate f, e_f plus the pivots p of the reduced rows that hold f."""
+    coordinate f, in increasing f, e_f plus the pivots p of the reduced rows
+    that hold f.  Each row's free bits are walked once, OR-ing its pivot
+    into those coordinates' columns."""
     reduced = _rref(rows)
     pivots = sum(reduced)
-    return [1 << f | sum(p for p, r in reduced.items() if r >> f & 1)
-            for f in range(n) if not pivots >> f & 1]
+    columns: Dict[int, int] = {}  # free bit e_f -> e_f plus its pivots
+    for p, r in reduced.items():
+        free = r & ~pivots
+        while free:
+            f = free & -free
+            columns[f] = columns.get(f, f) | p
+            free ^= f
+    return [columns.get(1 << f, 1 << f) for f in range(n) if not pivots >> f & 1]
 
 
 # ---------------------------------------------------------------------------

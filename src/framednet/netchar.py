@@ -2,8 +2,8 @@
 
 Two independent routes to the lattice-net vacuum character are kept side
 by side: the frame route, a sum over the binary code's words counted by
-their pair weights (primary), and the lattice theta series divided by
-eta^d (oracle).
+their pair weights (primary), and the lattice theta series, completed as
+a modular form, divided by eta^d (oracle).
 Cross agreement of the two is part of the acceptance suite.  A third,
 `lattice_net_char`, sums the Z4 code's enumerated weight profile and
 serves the tests as an oracle of the frame route.  All three reduce to
@@ -18,8 +18,8 @@ from functools import lru_cache, reduce
 from fractions import Fraction
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .codes import BinaryCode, Z4Code, check_lattice_hypotheses
-from .qseries import DEN, QSeries, eta_power, product_form, to_num
+from .codes import BinaryCode, Z4Code, check_holomorphic_hypotheses, check_lattice_hypotheses
+from .qseries import DEN, QSeries, eisenstein_e4, eta_power, product_form, to_num
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -242,6 +242,8 @@ def theta_series(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
     Coordinates factor through the binary weight, so the sum collapses to
     the code's weight enumerator; the mod-4 sum constraint of the second
     construction is picked out by averaging over a sign character.
+    Production sums it only to fit theta_by_completion; summed to full
+    order it is the tests' oracle of that completion.
     """
     d = code.length
     wenum = check_lattice_hypotheses(code).weight_enumerator
@@ -263,14 +265,37 @@ def theta_series(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
     return total.half()
 
 
+def theta_by_completion(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
+    """theta_series(code, variant, bound), completed as a modular form.
+
+    For a doubly-even self-dual code the lattice is even unimodular, so its
+    theta series is a modular form of weight d/2 for SL2(Z):
+    Theta = sum over i <= d/24 of c_i E4^(d/8 - 3i) Delta^i.  Delta^i starts
+    at 1 * q^i, so the c_i solve a unitriangular system in the first
+    d/24 + 1 coefficients, which are all the weight enumerator is summed
+    for.  A code that is not self-dual raises CodeError.
+    """
+    check_holomorphic_hypotheses(code)
+    d = code.length
+    top = d // 24
+    low = Fraction(top + 1)
+    theta = theta_series(code, variant, low)
+    forms = [eisenstein_e4(low), eta_power(24, low)]
+    cs: Dict[Tuple[int, int], int] = {}
+    for i in range(top + 1):
+        fit = _sum_of_products(cs, forms, to_num(low))
+        cs[d // 8 - 3 * i, i] = theta.coeff(i) - fit.coeff(i)
+    return _sum_of_products(cs, [eisenstein_e4(bound), eta_power(24, bound)], to_num(bound))
+
+
 def theta_over_eta(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
-    """Independent route to the lattice-net character: Theta_L / eta^d."""
+    """Independent route to the lattice-net character: Theta_L / eta^d,
+    with Theta_L from theta_by_completion, so `code` must be self-dual."""
     d = code.length
     bound = Fraction(steps + 1)
-    theta = theta_series(code, variant, bound)
+    theta = theta_by_completion(code, variant, bound)
     series = theta * eta_power(-d, Fraction(-d, 24) + bound)
     order = _char_order_num(Fraction(-d, 24), steps)
     series = QSeries(series.terms, min(series.order, order))
     _assert_vacuum(series, d)
     return NetCharacter(series, Fraction(d))
-

@@ -215,3 +215,19 @@ def eta_power(k: int, order: ExpLike) -> QSeries:
     shift_num = k * (DEN // 24)
     inner = product_form("1-q^n", k, Fraction(order_num - shift_num, DEN))
     return inner.shift(Fraction(shift_num, DEN))
+
+
+def eisenstein_e4(order: ExpLike) -> QSeries:
+    """E4 = 1 + 240 sum_{n>=1} sigma_3(n) q^n, exact below `order`.
+
+    sigma_3 comes from a divisor sieve: each t adds t^3 to its multiples.
+    """
+    order_num = to_num(order)
+    top = -(-order_num // DEN)  # the integer exponents below order
+    sigma3 = [0] * top
+    for t in range(1, top):
+        for n in range(t, top, t):
+            sigma3[n] += t ** 3
+    terms = {n * DEN: 240 * s for n, s in enumerate(sigma3)}
+    terms[0] = 1
+    return QSeries(terms, order_num)

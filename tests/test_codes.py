@@ -34,7 +34,14 @@ from framednet.codes import (
     z4_code_from_text,
     z4_dual_code,
 )
-from framednet.netchar import frame_char, lattice_net_char, theta_over_eta
+from framednet.netchar import (
+    _char_order_num,
+    frame_char,
+    lattice_net_char,
+    theta_over_eta,
+    theta_series,
+)
+from framednet.qseries import QSeries, eta_power
 
 
 def dual_binary_code(code):
@@ -482,10 +489,21 @@ def _reed_muller_2_5():
     return BinaryCode(32, [[int(all(p[i] for i in m)) for p in points] for m in monomials])
 
 
+def _theta_over_eta_by_full_sum(code, variant, steps):
+    """Theta / eta^d with Theta summed over the weight enumerator to full
+    order, cut as theta_over_eta cuts it; defined for codes that are not
+    self-dual, which the theta route refuses."""
+    d = code.length
+    bound = Fraction(steps + 1)
+    series = theta_series(code, variant, bound) * eta_power(-d, Fraction(-d, 24) + bound)
+    return QSeries(series.terms, min(series.order, _char_order_num(Fraction(-d, 24), steps)))
+
+
 class TestDeltaProfile:
     """The frame route's sum over pair weights against the character of
     the delta code's complete weight profile, enumerated word by word, and
-    against the theta route; two of the codes are not self-dual."""
+    against the theta route; two of the codes are not self-dual, so they
+    meet the theta series summed to full order instead."""
 
     @pytest.mark.parametrize(
         "make, variant",
@@ -511,7 +529,10 @@ class TestDeltaProfile:
         code = make()
         frame = frame_char(code, variant, steps=6).series
         assert frame == lattice_net_char(delta_code(code, variant), steps=6).series
-        assert frame == theta_over_eta(code, variant, steps=6).series
+        if validate_binary_code(code).self_dual:
+            assert frame == theta_over_eta(code, variant, steps=6).series
+        else:
+            assert frame == _theta_over_eta_by_full_sum(code, variant, steps=6)
 
     @pytest.mark.parametrize("steps", [0, 1, 3, 8])
     @pytest.mark.parametrize("variant", ["L", "Ltilde"])
@@ -641,6 +662,15 @@ def _rref_f2(rows):
     return [out[i] for i in order]
 
 
+def _kernel_by_scan(rows, n):
+    """codes._kernel as it was: every reduced row is scanned for each free
+    coordinate."""
+    reduced = codes._rref(rows)
+    pivots = sum(reduced)
+    return [1 << f | sum(p for p, r in reduced.items() if r >> f & 1)
+            for f in range(n) if not pivots >> f & 1]
+
+
 def _kernel_f2(rows, d):
     """A basis of {x in F2^d : r.x = 0 for every row r}, one int per symbol."""
     reduced = _rref_f2(rows)
@@ -706,6 +736,14 @@ class TestPackedRows:
         assert len(kernel) == d - len(codes._rref(_packed(rows)))
         assert all((r & x).bit_count() % 2 == 0 for r in _packed(rows) for x in kernel)
         assert _unpacked(kernel, d) == _kernel_f2(rows, d)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.data())
+    def test_kernel_matches_row_scan(self, data):
+        # wide rows and many of them, so a free coordinate sits in several rows
+        n = data.draw(st.integers(1, 300))
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+        assert codes._kernel(rows, n) == _kernel_by_scan(rows, n)
 
     @settings(deadline=None, derandomize=True, max_examples=150)
     @given(st.data())

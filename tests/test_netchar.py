@@ -2,8 +2,9 @@
 the branching graph of the orbifold's sectors (fusion.emit_branching_graph).
 
 The independent oracles here are partition-style DPs for the c = 1/2
-characters and a brute-force lattice-vector enumeration for the rank-8
-theta series.
+characters, a brute-force lattice-vector enumeration for the rank-8
+theta series, and the weight-enumerator sum to full order for the theta
+series that production completes as a modular form.
 """
 
 import re
@@ -13,7 +14,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framednet.codes import builtin_code, builtin_delta
+import framednet.netchar as netchar
+from framednet.codes import CodeError, builtin_code, builtin_delta
 from framednet.fusion import emit_branching_graph, orbifold_census
 from framednet.netchar import (
     NetCharacter,
@@ -22,11 +24,15 @@ from framednet.netchar import (
     ising_char,
     _sum_of_products,
     lattice_net_char,
+    theta_by_completion,
     theta_over_eta,
     theta_series,
     u14_sector_char,
 )
+from framednet.orbifold import orbifold_pieces
 from framednet.qseries import DEN, QSeries
+from test_acceptance import MODULAR_CODES
+from test_codes import _golay24_pairs_permuted, _h8_plus_ones8, _ones8
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -171,6 +177,52 @@ class TestThetaRoutes:
         ch = lattice_net_char(builtin_delta("h8", "L"), steps=4)
         for n in ch.series.terms:
             assert (n + 8 * DEN // 24) % DEN == 0
+
+
+COMPLETION_CODES = {**MODULAR_CODES, "golay24-pairs-permuted": _golay24_pairs_permuted}
+
+
+def _completion_bounds(d):
+    """1, the fit's own bound and one past it, two deep bounds and a
+    non-integer one."""
+    top = d // 24
+    return sorted({Fraction(1), Fraction(top + 1), Fraction(top + 2),
+                   Fraction(31), Fraction(151), Fraction(7, 2)})
+
+
+class TestThetaCompletion:
+    """Theta fitted on its first d/24 + 1 coefficients and completed by
+    E4 and Delta, against the weight enumerator summed to full order."""
+
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    @pytest.mark.parametrize("name", list(COMPLETION_CODES))
+    def test_matches_full_enumerator_sum(self, name, variant):
+        code = COMPLETION_CODES[name]()
+        for bound in _completion_bounds(code.length):
+            completed = theta_by_completion(code, variant, bound)
+            full = theta_series(code, variant, bound)
+            assert completed.terms == full.terms, f"bound {bound}"
+            assert completed.order == full.order == bound * DEN
+
+    def test_production_never_sums_to_full_order(self, monkeypatch):
+        bounds = []
+        real = netchar.theta_series
+
+        def spy(code, variant, bound):
+            bounds.append(bound)
+            return real(code, variant, bound)
+
+        monkeypatch.setattr(netchar, "theta_series", spy)
+        golay = builtin_code("golay24")
+        theta_over_eta(golay, "Ltilde", 150)
+        orbifold_pieces(golay, "L", 150)
+        assert len(bounds) == 2 and max(bounds) <= golay.length // 24 + 1
+
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    @pytest.mark.parametrize("make", [_ones8, _h8_plus_ones8], ids=["1^8", "h8+1^8"])
+    def test_refuses_codes_that_are_not_self_dual(self, make, variant):
+        with pytest.raises(CodeError, match="not self-dual"):
+            theta_over_eta(make(), variant, 4)
 
 
 KERNEL_ORDER = 30

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from framednet.codes import builtin_code
+from framednet.fusion import fusion_group_disambiguation
 from framednet.netchar import NetCharacter, theta_over_eta
 from framednet.orbifold import (
     fixed_point_sector_chars,
@@ -135,6 +136,22 @@ class TestSectors:
         diff = (p.z3.series - p.z4.series).half()
         assert b1.series.first_difference(diff) is None
         assert b2.coeff(Fraction(1, 6)) == 16
+
+    def test_only_the_vacuum_sector_after_beta1(self):
+        # the paper's claim from computed characters: the fixed-point net has
+        # four sectors, whose lowest weights read mod 1 fit only Z2xZ2, so
+        # each is a simple current of dimension 1 and mu = 4; beta1 has
+        # integer weight and order 2, and extending by it leaves
+        # mu = 4 / 2^2 = 1, the vacuum sector alone
+        chars = fixed_point_sector_chars(orbifold_pieces(GOLAY, "Ltilde", steps=4))
+        leading = [ch.leading() for ch in chars]
+        weights = [e + Fraction(GOLAY.length, 24) for e, _ in leading]
+        assert weights == [0, 1, 2, Fraction(3, 2)]
+        assert [m for _, m in leading] == [1, 24, 98304, 4096]
+        assert fusion_group_disambiguation(weights) == "Z2xZ2"
+        mu, beta1 = len(chars), weights[2]
+        assert beta1.denominator == 1
+        assert Fraction(mu, 2 ** 2) == 1
 
 
 class TestVacuumChar:
