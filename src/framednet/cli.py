@@ -6,11 +6,11 @@ paper's hypotheses, a subgroup without integer weights), 2 input/usage
 error (a missing, unreadable or malformed file, an unknown builtin name,
 a bad flag value such as a dimension below 1, an `emit-graph --d` above
 GRAPH_D_LIMIT, a `census` dimension above POWER_D_LIMIT, an `extend`
-dimension above EXTEND_D_LIMIT, an `--order` above ORDER_LIMIT,
-ragged labels or a multiplicity below 1 in a `framed --decomp` file, an
-output file or cache directory that cannot be written).  An exit 2
-prints `error: ...` to stderr (after argparse's usage line for a bad
-flag) and nothing to stdout.
+dimension above EXTEND_D_LIMIT, an `--order` above ORDER_LIMIT, a code
+of more than codes.ENUM_LIMIT words, ragged labels or a multiplicity
+below 1 in a `framed --decomp` file, an output file or cache directory
+that cannot be written).  An exit 2 prints `error: ...` to stderr
+(after argparse's usage line for a bad flag) and nothing to stdout.
 
 Only stdlib modules are imported here. Each subcommand imports the
 framednet modules it runs, so a short-lived process that answers from
@@ -43,8 +43,8 @@ POWER_D_LIMIT = 7141
 # Xeon, Python 3.11.7).
 EXTEND_D_LIMIT = 1600
 # a series' cost grows about as order^2: at order 1000, golay24/Ltilde
-# `char --route both` took 25 s (24 MB), of which the code route is most,
-# `char --route theta` 3.5 s (17 MB) and `orbifold-char --pieces` 8.5 s
+# `char --route both` took 21 s (24 MB), of which the code route is most,
+# `char --route theta` 2.0 s (17 MB) and `orbifold-char --pieces` 6.4 s
 # (24 MB) (fresh process, 2-core Xeon, Python 3.11.7).
 ORDER_LIMIT = 1000
 
@@ -75,17 +75,20 @@ def _load_code(spec: str, text: Optional[str] = None):
     """The `codes.BinaryCode` named by a builtin:<name> spec or a file path,
     parsed from `text` when the caller has already read the file.
 
-    A file that cannot be read or parsed, or an unknown builtin name, is
-    bad input; the code hypotheses are checked by the commands.
+    A file that cannot be read or parsed, an unknown builtin name or a code
+    too large to sweep is bad input; the commands check the hypotheses.
     """
-    from .codes import CodeError, load_code
+    from .codes import ENUM_LIMIT, CodeError, load_code
 
     if text is None and not spec.startswith("builtin:"):
         text = _read_text(spec, "code")
     try:
-        return load_code(spec, text)
+        code = load_code(spec, text)
     except CodeError as e:
         raise InputError(str(e))
+    if len(code) > ENUM_LIMIT:
+        raise InputError(f"code too large to enumerate: 2^{code.dimension} words")
+    return code
 
 
 def _program_identity() -> str:

@@ -2,8 +2,9 @@
 
 Two independent routes to the lattice-net vacuum character are kept side
 by side: the frame route, a sum over the binary code's words counted by
-their pair weights (primary), and the lattice theta series, completed as
-a modular form, divided by eta^d (oracle).
+their pair weights (primary), and the lattice theta series divided by
+eta^d, a polynomial in the E8 character E4 / eta^8 fitted as a modular
+form (oracle).
 Cross agreement of the two is part of the acceptance suite.  A third,
 `lattice_net_char`, sums the Z4 code's enumerated weight profile and
 serves the tests as an oracle of the frame route.  All three reduce to
@@ -242,8 +243,8 @@ def theta_series(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
     Coordinates factor through the binary weight, so the sum collapses to
     the code's weight enumerator; the mod-4 sum constraint of the second
     construction is picked out by averaging over a sign character.
-    Production sums it only to fit theta_by_completion; summed to full
-    order it is the tests' oracle of that completion.
+    Production sums it only to fit theta_over_eta's modular form; summed
+    to full order it is the tests' oracle of that route.
     """
     d = code.length
     wenum = check_lattice_hypotheses(code).weight_enumerator
@@ -265,15 +266,17 @@ def theta_series(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
     return total.half()
 
 
-def theta_by_completion(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
-    """theta_series(code, variant, bound), completed as a modular form.
+def theta_over_eta(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
+    """Independent route to the lattice-net character: Theta_L / eta^d.
 
     For a doubly-even self-dual code the lattice is even unimodular, so its
     theta series is a modular form of weight d/2 for SL2(Z):
     Theta = sum over i <= d/24 of c_i E4^(d/8 - 3i) Delta^i.  Delta^i starts
     at 1 * q^i, so the c_i solve a unitriangular system in the first
-    d/24 + 1 coefficients, which are all the weight enumerator is summed
-    for.  A code that is not self-dual raises CodeError.
+    d/24 + 1 coefficients, all the weight enumerator is summed for.  As
+    Delta = eta^24, Theta / eta^d is the polynomial sum of c_i chi^(d/8 - 3i)
+    in the E8 character chi = E4 / eta^8.  A code that is not self-dual
+    raises CodeError.
     """
     check_holomorphic_hypotheses(code)
     d = code.length
@@ -285,17 +288,9 @@ def theta_by_completion(code: BinaryCode, variant: str, bound: Fraction) -> QSer
     for i in range(top + 1):
         fit = _sum_of_products(cs, forms, to_num(low))
         cs[d // 8 - 3 * i, i] = theta.coeff(i) - fit.coeff(i)
-    return _sum_of_products(cs, [eisenstein_e4(bound), eta_power(24, bound)], to_num(bound))
-
-
-def theta_over_eta(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
-    """Independent route to the lattice-net character: Theta_L / eta^d,
-    with Theta_L from theta_by_completion, so `code` must be self-dual."""
-    d = code.length
     bound = Fraction(steps + 1)
-    theta = theta_by_completion(code, variant, bound)
-    series = theta * eta_power(-d, Fraction(-d, 24) + bound)
-    order = _char_order_num(Fraction(-d, 24), steps)
-    series = QSeries(series.terms, min(series.order, order))
+    chi = eisenstein_e4(bound) * eta_power(-8, bound - Fraction(1, 3))
+    powers = {(k,): c for (k, _), c in cs.items()}
+    series = _sum_of_products(powers, [chi], _char_order_num(Fraction(-d, 24), steps))
     _assert_vacuum(series, d)
     return NetCharacter(series, Fraction(d))

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 from .codes import BinaryCode, check_holomorphic_hypotheses
-from .netchar import NetCharacter, _char_order_num, theta_over_eta
+from .netchar import NetCharacter, _assert_vacuum, _char_order_num, theta_over_eta
 from .qseries import DEN, QSeries, product_form, to_num
 
 
@@ -103,7 +103,5 @@ def vacuum_char_from_pieces(p: OrbifoldPieces) -> NetCharacter:
     """The orbifold vacuum character (Z1 + Z2)/2 + beta1 of computed pieces."""
     a_plus, _, b1, _ = fixed_point_sector_chars(p)
     series = a_plus.series + b1.series
-    low = series.lowest()
-    if low != to_num(Fraction(-p.d, 24)) or series.terms[low] != 1:
-        raise AssertionError("orbifold vacuum normalization failed")
+    _assert_vacuum(series, p.d)
     return NetCharacter(series, Fraction(p.d))

@@ -163,8 +163,9 @@ class TestCodeHypotheses:
 
 
 class TestMalformedInput:
-    """A file that does not parse, or an unknown builtin, is bad input (exit 2)
-    on every command; a code outside the hypotheses exits 1 (above)."""
+    """A file that does not parse, an unknown builtin, or a code too large to
+    enumerate, is bad input (exit 2) on every command; a code outside the
+    hypotheses exits 1 (above)."""
 
     @pytest.mark.parametrize(
         "text, message",
@@ -195,6 +196,21 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv, "--code", str(path))
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate-code"], ["char"], ["--cache", "CACHE", "char"], ["orbifold-char"], ["framed"]],
+        ids=["validate-code", "char", "char-cached", "orbifold-char", "framed"],
+    )
+    def test_code_too_large_to_enumerate(self, capsys, tmp_path, argv):
+        # length 56, dimension 27: twice as many words as a sweep may take
+        assert 1 << 27 == 2 * codes.ENUM_LIMIT
+        rows = ["0" * i + "1" + "0" * (55 - i) for i in range(27)]
+        path = write_input(tmp_path / "c.txt", "\n".join(rows) + "\n")
+        argv = [str(tmp_path / "cache") if a == "CACHE" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--code", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: code too large to enumerate: 2^27 words\n"
 
     @pytest.mark.parametrize("command", ["validate-code", "char", "orbifold-char", "framed"])
     def test_unknown_builtin(self, capsys, command):

@@ -12,7 +12,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -34,14 +34,8 @@ from framednet.codes import (
     z4_code_from_text,
     z4_dual_code,
 )
-from framednet.netchar import (
-    _char_order_num,
-    frame_char,
-    lattice_net_char,
-    theta_over_eta,
-    theta_series,
-)
-from framednet.qseries import QSeries, eta_power
+from framednet.netchar import frame_char, lattice_net_char, theta_over_eta
+from test_acceptance import _reed_muller_2_5, _theta_over_eta_by_full_sum
 
 
 def dual_binary_code(code):
@@ -479,24 +473,6 @@ def _ones8():
 
 def _h8_plus_ones8():
     return _h8_plus([[1] * 8])
-
-
-def _reed_muller_2_5():
-    """RM(2, 5): the monomials of degree <= 2 in 5 variables, evaluated at
-    the 32 points of F2^5."""
-    points = [[(x >> i) & 1 for i in range(5)] for x in range(32)]
-    monomials = [()] + [(i,) for i in range(5)] + list(combinations(range(5), 2))
-    return BinaryCode(32, [[int(all(p[i] for i in m)) for p in points] for m in monomials])
-
-
-def _theta_over_eta_by_full_sum(code, variant, steps):
-    """Theta / eta^d with Theta summed over the weight enumerator to full
-    order, cut as theta_over_eta cuts it; defined for codes that are not
-    self-dual, which the theta route refuses."""
-    d = code.length
-    bound = Fraction(steps + 1)
-    series = theta_series(code, variant, bound) * eta_power(-d, Fraction(-d, 24) + bound)
-    return QSeries(series.terms, min(series.order, _char_order_num(Fraction(-d, 24), steps)))
 
 
 class TestDeltaProfile:

@@ -3,8 +3,8 @@ the branching graph of the orbifold's sectors (fusion.emit_branching_graph).
 
 The independent oracles here are partition-style DPs for the c = 1/2
 characters, a brute-force lattice-vector enumeration for the rank-8
-theta series, and the weight-enumerator sum to full order for the theta
-series that production completes as a modular form.
+theta series, and the weight-enumerator sum to full order, divided by
+eta^d, for the character that production expands in E4 / eta^8.
 """
 
 import re
@@ -24,14 +24,13 @@ from framednet.netchar import (
     ising_char,
     _sum_of_products,
     lattice_net_char,
-    theta_by_completion,
     theta_over_eta,
     theta_series,
     u14_sector_char,
 )
 from framednet.orbifold import orbifold_pieces
 from framednet.qseries import DEN, QSeries
-from test_acceptance import MODULAR_CODES
+from test_acceptance import MODULAR_CODES, _theta_over_eta_by_full_sum
 from test_codes import _golay24_pairs_permuted, _h8_plus_ones8, _ones8
 
 HALF = Fraction(1, 2)
@@ -182,41 +181,41 @@ class TestThetaRoutes:
 COMPLETION_CODES = {**MODULAR_CODES, "golay24-pairs-permuted": _golay24_pairs_permuted}
 
 
-def _completion_bounds(d):
-    """1, the fit's own bound and one past it, two deep bounds and a
-    non-integer one."""
-    top = d // 24
-    return sorted({Fraction(1), Fraction(top + 1), Fraction(top + 2),
-                   Fraction(31), Fraction(151), Fraction(7, 2)})
-
-
 class TestThetaCompletion:
-    """Theta fitted on its first d/24 + 1 coefficients and completed by
-    E4 and Delta, against the weight enumerator summed to full order."""
+    """Theta fitted on its first d/24 + 1 coefficients and expanded as a
+    polynomial in E4 / eta^8, against the weight enumerator summed to full
+    order and divided by eta^d."""
 
     @pytest.mark.parametrize("variant", ["L", "Ltilde"])
     @pytest.mark.parametrize("name", list(COMPLETION_CODES))
     def test_matches_full_enumerator_sum(self, name, variant):
         code = COMPLETION_CODES[name]()
-        for bound in _completion_bounds(code.length):
-            completed = theta_by_completion(code, variant, bound)
-            full = theta_series(code, variant, bound)
-            assert completed.terms == full.terms, f"bound {bound}"
-            assert completed.order == full.order == bound * DEN
+        top = code.length // 24
+        for steps in sorted({0, top, top + 1, 30, 150}):
+            got = theta_over_eta(code, variant, steps).series
+            assert got == _theta_over_eta_by_full_sum(code, variant, steps), f"steps {steps}"
 
     def test_production_never_sums_to_full_order(self, monkeypatch):
-        bounds = []
-        real = netchar.theta_series
+        bounds, etas = [], []
+        real_theta, real_eta = netchar.theta_series, netchar.eta_power
 
-        def spy(code, variant, bound):
+        def theta_spy(code, variant, bound):
             bounds.append(bound)
-            return real(code, variant, bound)
+            return real_theta(code, variant, bound)
 
-        monkeypatch.setattr(netchar, "theta_series", spy)
+        def eta_spy(k, order):
+            etas.append((k, Fraction(order)))
+            return real_eta(k, order)
+
+        monkeypatch.setattr(netchar, "theta_series", theta_spy)
+        monkeypatch.setattr(netchar, "eta_power", eta_spy)
         golay = builtin_code("golay24")
+        fit_bound = golay.length // 24 + 1
         theta_over_eta(golay, "Ltilde", 150)
         orbifold_pieces(golay, "L", 150)
-        assert len(bounds) == 2 and max(bounds) <= golay.length // 24 + 1
+        assert len(bounds) == 2 and max(bounds) <= fit_bound
+        assert all(order <= fit_bound for k, order in etas if k == 24), etas
+        assert not any(k == -golay.length for k, _ in etas), etas
 
     @pytest.mark.parametrize("variant", ["L", "Ltilde"])
     @pytest.mark.parametrize("make", [_ones8, _h8_plus_ones8], ids=["1^8", "h8+1^8"])

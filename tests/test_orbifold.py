@@ -21,6 +21,7 @@ from framednet.orbifold import (
     fixed_point_sector_chars,
     orbifold_pieces,
     orbifold_vacuum_char,
+    vacuum_char_from_pieces,
 )
 from framednet.qseries import DEN, QSeries, product_form, to_num
 from test_acceptance import MODULAR_CODES
@@ -72,6 +73,14 @@ class TestPieces:
     def test_vacuum_normalization_enforced(self):
         ch = orbifold_vacuum_char(H8, "L", steps=3)
         assert ch.leading() == (Fraction(-1, 3), 1)
+
+    def test_negative_vacuum_coefficient_refused(self):
+        # beta1 doubled and negated: q^1 gets 98580 - 2 * 98304 < 0, and the
+        # leading 1 * q^-1 is untouched
+        p = orbifold_pieces(GOLAY, "Ltilde", steps=2)
+        bad = p._replace(z3=NetCharacter(p.z3.series.scale(-2), p.z3.central_charge))
+        with pytest.raises(AssertionError, match="negative coefficient"):
+            vacuum_char_from_pieces(bad)
 
 
 def twisted_oracle(kind, series, d):
