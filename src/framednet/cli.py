@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import partial
 from typing import Dict, List, Optional
@@ -43,9 +44,9 @@ POWER_D_LIMIT = 7141
 # Xeon, Python 3.11.7).
 EXTEND_D_LIMIT = 1600
 # a series' cost grows about as order^2: at order 1000, golay24/Ltilde
-# `char --route both` took 21 s (24 MB), of which the code route is most,
-# `char --route theta` 2.0 s (17 MB) and `orbifold-char --pieces` 6.4 s
-# (24 MB) (fresh process, 2-core Xeon, Python 3.11.7).
+# `char --route both` took 16 s (24 MB), of which the code route is most,
+# `char --route theta` 1.4 s (17 MB) and `orbifold-char --pieces` 4.8 s
+# (24 MB) (fresh process, median of 3, 2-core Xeon, Python 3.11.7).
 ORDER_LIMIT = 1000
 
 
@@ -362,10 +363,13 @@ def _parse_decomp_file(path: str) -> list:
         label = tuple(_parse_fraction(t) for t in parts[0].split(","))
         if any(e not in ISING_LABELS for e in label):
             raise InputError(f"bad label entry in {line!r}")
-        try:
-            mult = int(parts[1]) if len(parts) > 1 else 1
-        except ValueError:
+        if len(parts) > 2:
+            raise InputError(f"extra field after the multiplicity in {line!r}")
+        field = parts[1] if len(parts) > 1 else "1"
+        # int() alone would also read '1_0' as 10
+        if not re.fullmatch(r"[+-]?[0-9]+", field):
             raise InputError(f"bad multiplicity in {line!r}")
+        mult = int(field)
         if mult < 1:
             raise InputError(f"multiplicity must be positive in {line!r}")
         if mults and len(label) != len(next(iter(mults))):

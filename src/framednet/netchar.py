@@ -48,17 +48,22 @@ def _char_order_num(lowest: Fraction, steps: int) -> int:
 
 
 def ising_char(h, steps: int = 5) -> NetCharacter:
-    """Character of the c = 1/2 sector of weight h in {0, 1/2, 1/16}."""
+    """Character of the c = 1/2 sector of weight h in {0, 1/2, 1/16}.
+
+    chi_{1/16} = q^{1/24} prod(1+q^n) = q^{1/24} prod(1-q^{2n-1})^{-1}
+    (distinct parts are odd parts).  chi_0 and chi_{1/2} are the halved
+    sum and difference of q^{-1/48} prod(1 +- q^{n-1/2}), so they are the
+    terms of q^{-1/48} prod(1-q^{n-1/2}) an even number of half-steps
+    above q^{-1/48}, and minus the odd ones.
+    """
     h = Fraction(h)
     c24 = Fraction(1, 48)
     order = Fraction(_char_order_num(h - c24, steps), DEN)
     if h == SIXTEENTH:
-        series = product_form("1+q^n", 1, order - Fraction(1, 24)).shift(Fraction(1, 24))
+        series = product_form(1, 2, -1, order - Fraction(1, 24)).shift(Fraction(1, 24))
     elif h in (Fraction(0), HALF):
-        plus = product_form("1+q^{n-1/2}", 1, order + c24)
-        minus = product_form("1-q^{n-1/2}", 1, order + c24)
-        comb = (plus + minus) if h == 0 else (plus - minus)
-        series = comb.half().shift(-c24)
+        even, odd = product_form(HALF, 1, 1, order + c24).shift(-c24).half_steps(-c24)
+        series = even if h == 0 else -odd
     else:
         raise ValueError(f"no Ising sector of weight {h}")
     return NetCharacter(series, Fraction(1, 2))
@@ -123,9 +128,9 @@ def _sum_of_products(
     is odd.  So every exponent of a base reuses the squarings of the others,
     and an odd step multiplies by the sparse base rather than by a dense
     power.  A product's truncation order is its lowest exponent plus the
-    smaller relative precision of its factors, so each power has the order
-    that `QSeries.__pow__` would give it.  Every term must be exact below
-    `order`, where the sum is cut.
+    smaller relative precision of its factors, so power k has the order of
+    the plain k-fold product of the base, however the ladder groups it.
+    Every term must be exact below `order`, where the sum is cut.
     """
     distinct: Dict[QSeries, int] = {}
     slot = [distinct.setdefault(b, len(distinct)) for b in bases]

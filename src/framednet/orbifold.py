@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 from .codes import BinaryCode, check_holomorphic_hypotheses
-from .netchar import NetCharacter, _assert_vacuum, _char_order_num, theta_over_eta
-from .qseries import DEN, QSeries, product_form, to_num
+from .netchar import HALF, NetCharacter, _assert_vacuum, _char_order_num, theta_over_eta
+from .qseries import DEN, product_form
 
 
 class OrbifoldPieces(NamedTuple):
@@ -36,10 +36,11 @@ class OrbifoldPieces(NamedTuple):
 def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldPieces:
     """Compute Z1..Z4 for the lattice built from `code`.
 
-    Z1 = Theta/eta^d, Z2 = q^{-d/24} prod(1+q^n)^{-d},
+    Z1 = Theta/eta^d, Z2 = q^{-d/24} prod(1+q^n)^{-d}, expanded as
+    q^{-d/24} prod(1-q^{2n-1})^d (distinct parts are odd parts),
     Z3 = 2^{d/2} q^{d/48} prod(1-q^{n-1/2})^{-d},
-    Z4 = 2^{d/2} q^{d/48} prod(1+q^{n-1/2})^{-d}, read off Z3 by negating
-    the terms an odd number of half-steps above q^{d/48}.
+    Z4 = 2^{d/2} q^{d/48} prod(1+q^{n-1/2})^{-d}, read off Z3 as its terms
+    an even number of half-steps above q^{d/48} minus the odd ones.
 
     The construction needs a holomorphic lattice net, so `code` must be
     self-dual as well as pass the lattice hypotheses.
@@ -49,17 +50,12 @@ def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldP
     z1 = theta_over_eta(code, variant, steps)
     order = Fraction(_char_order_num(Fraction(-d, 24), steps), DEN)
     c = Fraction(d)
-    z2 = product_form("1+q^n", -d, order + Fraction(d, 24)).shift(Fraction(-d, 24))
-    tw_order = Fraction(_char_order_num(Fraction(d, 48), steps), DEN)
-    z3 = (
-        product_form("1-q^{n-1/2}", -d, tw_order - Fraction(d, 48))
-        .shift(Fraction(d, 48))
-        .scale(1 << (d // 2))
-    )
-    half_step = DEN // 2
-    z4 = QSeries(
-        {n: -a if (n - d) // half_step % 2 else a for n, a in z3.terms.items()}, z3.order
-    )
+    z2 = product_form(1, 2, d, order + Fraction(d, 24)).shift(Fraction(-d, 24))
+    ground = Fraction(d, 48)
+    tw_order = Fraction(_char_order_num(ground, steps), DEN)
+    z3 = product_form(HALF, 1, -d, tw_order - ground).shift(ground).scale(1 << (d // 2))
+    even, odd = z3.half_steps(ground)
+    z4 = even - odd
     return OrbifoldPieces(
         d,
         NetCharacter(z1.series, c),
@@ -82,15 +78,12 @@ def fixed_point_sector_chars(
     c = Fraction(p.d)
     a_plus = (p.z1.series + p.z2.series).half()
     a_minus = (p.z1.series - p.z2.series).half()
-    vacuum = to_num(Fraction(-p.d, 24))
-    z3 = p.z3.series
-    b1 = {n: a for n, a in z3.terms.items() if (n - vacuum) % DEN == 0}
-    b2 = {n: a for n, a in z3.terms.items() if n not in b1}
+    b1, b2 = p.z3.series.half_steps(Fraction(-p.d, 24))
     return (
         NetCharacter(a_plus, c),
         NetCharacter(a_minus, c),
-        NetCharacter(QSeries(b1, z3.order), c),
-        NetCharacter(QSeries(b2, z3.order), c),
+        NetCharacter(b1, c),
+        NetCharacter(b2, c),
     )
 
 

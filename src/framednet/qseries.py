@@ -6,12 +6,17 @@ precision Python ints.  Every series carries a truncation order (also a
 numerator over 48): exponents >= order are unknown, exponents < order are
 exact.  Orders propagate pessimistically through multiplication so a
 retained coefficient is never polluted by discarded terms.
+
+Every infinite product is one routine, `product_form`, over an arithmetic
+progression of exponents; a sign flip q^{1/2} -> -q^{1/2} is one split,
+`QSeries.half_steps`, into the terms an even and an odd number of
+half-steps above a base exponent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Tuple, Union
 
 DEN = 48
 
@@ -49,10 +54,6 @@ class QSeries:
     @classmethod
     def one(cls, order: int) -> "QSeries":
         return cls({0: 1}, order)
-
-    @classmethod
-    def monomial(cls, exponent: ExpLike, coeff: int, order: int) -> "QSeries":
-        return cls({to_num(exponent): coeff}, order)
 
     # -- inspection ---------------------------------------------------
 
@@ -143,26 +144,22 @@ class QSeries:
         s = to_num(exponent)
         return QSeries({n + s: c for n, c in self.terms.items()}, self.order + s)
 
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.terms, order)
+    def half_steps(self, base: ExpLike) -> Tuple["QSeries", "QSeries"]:
+        """Split into the terms an even and an odd number of half-steps above q^base.
 
-    def __pow__(self, k: int) -> "QSeries":
-        if k < 0:
-            raise ValueError("negative powers are not defined on bare series")
-        if k == 0:
-            # 1 at this series' relative precision, like every other power
-            return QSeries.one(self.order - self.lowest())
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        Both parts keep this series' order.  A term off the lattice
+        base + Z/2 raises GridError.
+        """
+        b, half_step = to_num(base), DEN // 2
+        parts: Tuple[dict, dict] = ({}, {})
+        for n, c in self.terms.items():
+            steps, off = divmod(n - b, half_step)
+            if off:
+                raise GridError(
+                    f"exponent {Fraction(n, DEN)} is not a half-step above {Fraction(b, DEN)}"
+                )
+            parts[steps % 2][n] = c
+        return QSeries(parts[0], self.order), QSeries(parts[1], self.order)
 
     # -- serialization ------------------------------------------------
 
@@ -174,46 +171,36 @@ class QSeries:
         }
 
 
-PRODUCT_KINDS = ("1-q^n", "1+q^n", "1-q^{n-1/2}", "1+q^{n-1/2}")
+def product_form(first: ExpLike, step: ExpLike, power: int, order: ExpLike) -> QSeries:
+    """Expand prod_{n>=0} (1 - q^{first + n*step})^power exactly below `order`.
 
-
-def product_form(kind: str, power: int, order: ExpLike) -> QSeries:
-    """Expand prod_{n>=1} (1 +- q^{e_n})^power exactly below `order`.
-
-    e_n is n for the integer kinds and n - 1/2 for the half-integer ones.
-    Factors whose lowest exponent is >= order contribute nothing and are
-    omitted.  Negative powers expand each factor by the binomial series.
+    first and step must be positive.  Each factor is expanded by the
+    binomial series, which ends at k = power when power >= 0; a factor
+    whose exponent is >= order contributes nothing and is omitted.
     """
-    if kind not in PRODUCT_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    order_num = to_num(order)
-    sign = -1 if kind.startswith("1-") else 1
-    half = kind.endswith("{n-1/2}")
+    first_num, step_num, order_num = to_num(first), to_num(step), to_num(order)
+    if first_num <= 0 or step_num <= 0:
+        raise ValueError(f"progression {first}, {step} must be positive")
     result = QSeries.one(order_num)
-    n = 1
-    while True:
-        e_num = n * DEN - (DEN // 2 if half else 0)
-        if e_num >= order_num:
-            break
+    for e_num in range(first_num, order_num, step_num):
         factor_terms = {0: 1}
-        coeff = 1  # sign^k C(power, k); k C(p, k) = (p - k + 1) C(p, k - 1) exactly
+        coeff = 1  # (-1)^k C(power, k); k C(p, k) = (p - k + 1) C(p, k - 1) exactly
         k = 1
         while k * e_num < order_num:
-            coeff = coeff * sign * (power - k + 1) // k
+            coeff = -coeff * (power - k + 1) // k
             factor_terms[k * e_num] = coeff
             if power >= 0 and k >= power:
                 break
             k += 1
         result = result * QSeries(factor_terms, order_num)
-        n += 1
-    return QSeries(result.terms, order_num)
+    return result
 
 
 def eta_power(k: int, order: ExpLike) -> QSeries:
     """(q^{1/24} prod_{n>=1} (1-q^n))^k, exact below `order`."""
     order_num = to_num(order)
     shift_num = k * (DEN // 24)
-    inner = product_form("1-q^n", k, Fraction(order_num - shift_num, DEN))
+    inner = product_form(1, 1, k, Fraction(order_num - shift_num, DEN))
     return inner.shift(Fraction(shift_num, DEN))
 
 

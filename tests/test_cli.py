@@ -620,6 +620,21 @@ class TestFramed:
         assert code == 2 and out == ""
         assert err == f"error: multiplicity must be positive in '1/16,1/16 {mult}'\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,0 1 junk\n1/16,1/16 1\n", "extra field after the multiplicity in '0,0 1 junk'"),
+            ("0,0 1\n1/16,1/16 1_0\n", "bad multiplicity in '1/16,1/16 1_0'"),
+        ],
+        ids=["extra-field", "underscore"],
+    )
+    def test_malformed_multiplicity_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "framed", "--decomp", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_ragged_labels_exit_2(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0,0 1\n1/16,1/16,0 1\n")

@@ -36,6 +36,9 @@ DEEP = [
     Request("char", "golay24", "Ltilde", 150, "theta"),
     Request("orbifold-char", "golay24", "L", 125, pieces=True),
     Request("orbifold-char", "golay24", "Ltilde", 150, pieces=True),
+    # the rank-8 twisted pieces, whose ground q^(1/6) is a half-step off the vacuum's
+    Request("orbifold-char", "h8", "L", 150, pieces=True),
+    Request("orbifold-char", "h8", "Ltilde", 150, pieces=True),
     # both routes: h8/Ltilde/code/150 and h8/Ltilde/theta/150
     Request("char", "h8", "Ltilde", 150, "both"),
     # the frame route on the frame workload's code, at both of its glue signs

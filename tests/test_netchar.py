@@ -1,8 +1,9 @@
 """Building-block characters, the two lattice-net character routes, and
 the branching graph of the orbifold's sectors (fusion.emit_branching_graph).
 
-The independent oracles here are partition-style DPs for the c = 1/2
-characters, a brute-force lattice-vector enumeration for the rank-8
+The independent oracles here are partition-style DPs and binomial
+product convolutions (tests/oracles.py) for the c = 1/2 characters, a
+brute-force lattice-vector enumeration for the rank-8
 theta series, and the weight-enumerator sum to full order, divided by
 eta^d, for the character that production expands in E4 / eta^8.
 """
@@ -29,7 +30,8 @@ from framednet.netchar import (
     u14_sector_char,
 )
 from framednet.orbifold import orbifold_pieces
-from framednet.qseries import DEN, QSeries
+from framednet.qseries import DEN, QSeries, to_num
+from oracles import product_oracle
 from test_acceptance import MODULAR_CODES, _theta_over_eta_by_full_sum
 from test_codes import _golay24_pairs_permuted, _h8_plus_ones8, _ones8
 
@@ -87,6 +89,23 @@ class TestIsingChars:
     def test_bad_weight_rejected(self):
         with pytest.raises(ValueError):
             ising_char(Fraction(1, 3))
+
+    @pytest.mark.parametrize("steps", [0, 1, 6, 30])
+    def test_matches_binomial_products(self, steps):
+        # chi_0, chi_{1/2} = q^{-1/48} (prod (1 + q^{n-1/2}) +- prod (1 - q^{n-1/2})) / 2
+        # and chi_{1/16} = q^{1/24} prod (1 + q^n), each kept `steps` q-steps
+        # above its leading term; terms and order
+        def order(h):
+            return to_num(h - Fraction(1, 48)) + steps * DEN + 1
+
+        def half_odd(h, sign):
+            plus, minus = (product_oracle(s, 1, True, order(h) + 1) for s in (1, -1))
+            return (plus + minus.scale(sign)).half().shift(Fraction(-1, 48))
+
+        assert ising_char(0, steps).series == half_odd(0, 1)
+        assert ising_char(HALF, steps).series == half_odd(HALF, -1)
+        sixteenth = product_oracle(1, 1, False, order(SIXTEENTH) - 2).shift(Fraction(1, 24))
+        assert ising_char(SIXTEENTH, steps).series == sixteenth
 
 
 class TestU14Chars:
@@ -253,8 +272,8 @@ class TestSumOfProducts:
         for exponents, count in enumerator.items():
             term = QSeries.one(KERNEL_ORDER)
             for base, k in zip(bases, exponents):
-                if k:
-                    term = term * base ** k
+                for _ in range(k):
+                    term = term * base
             for n, c in term.terms.items():
                 if n < KERNEL_ORDER:
                     naive[n] = naive.get(n, 0) + count * c

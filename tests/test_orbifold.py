@@ -1,12 +1,12 @@
 """Order-two orbifold pieces, sector characters of the fixed-point net,
 and the vacuum character of the twisted orbifold.
 
-The independent oracles here are the product-form expansions themselves
-(checked elsewhere against generalized binomial convolutions) combined
-in dict arithmetic, plus closed-form expectations for the rank-8 case
-where the orbifold reproduces the original net.  Production expands only
-Z3; Z4's own product form is the oracle of Z4 = Z3(-q^{1/2}) and of the
-twisted sectors (Z3 +- Z4)/2.
+The independent oracles here are generalized binomial convolutions of
+the product forms (tests/oracles.py) combined in dict arithmetic, plus
+closed-form expectations for the rank-8 case where the orbifold
+reproduces the original net.  Production expands only Z3 and splits it
+by half-steps; Z4's own product form is the oracle of Z4 = Z3(-q^{1/2})
+and of the twisted sectors (Z3 +- Z4)/2.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,8 @@ from framednet.orbifold import (
     orbifold_vacuum_char,
     vacuum_char_from_pieces,
 )
-from framednet.qseries import DEN, QSeries, product_form, to_num
+from framednet.qseries import DEN, QSeries, to_num
+from oracles import product_oracle
 from test_acceptance import MODULAR_CODES
 
 GOLAY = builtin_code("golay24")
@@ -51,7 +52,7 @@ class TestPieces:
     def test_z3_matches_product_form(self):
         p = orbifold_pieces(GOLAY, "Ltilde", steps=4)
         oracle = (
-            product_form("1-q^{n-1/2}", -24, Fraction(p.z3.series.order, DEN))
+            product_oracle(-1, -24, True, p.z3.series.order)
             .shift(Fraction(1, 2))
             .scale(2 ** 12)
         )
@@ -85,12 +86,10 @@ class TestPieces:
 
 def twisted_oracle(kind, series, d):
     """2^{d/2} q^{d/48} prod(1 -+ q^{n-1/2})^{-d} expanded to the order of `series`."""
+    sign = {"1-q^{n-1/2}": -1, "1+q^{n-1/2}": 1}[kind]
     ground = Fraction(d, 48)
-    return (
-        product_form(kind, -d, Fraction(series.order, DEN) - ground)
-        .shift(ground)
-        .scale(2 ** (d // 2))
-    )
+    oracle = product_oracle(sign, -d, True, series.order - to_num(ground))
+    return oracle.shift(ground).scale(2 ** (d // 2))
 
 
 class TestTwistedSector:

@@ -4,22 +4,16 @@ itself, and binomial-series convolution for the product forms.
 """
 
 import json
-import math
 import random
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from framednet.qseries import (
-    DEN,
-    PRODUCT_KINDS,
-    GridError,
-    QSeries,
-    eta_power,
-    product_form,
-    to_num,
-)
+from framednet.qseries import DEN, GridError, QSeries, eta_power, product_form, to_num
+from oracles import binomial_product_coeffs, product_oracle
+
+HALF = Fraction(1, 2)
 
 
 def partition_counts(n_max):
@@ -49,46 +43,16 @@ def pentagonal_coeffs(n_max):
     return out
 
 
-def gen_binom(power, k):
-    """Generalized binomial coefficient C(power, k) for any integer power."""
-    num = 1
-    for i in range(k):
-        num *= power - i
-    return num // math.factorial(k)
-
-
-def binomial_product_coeffs(sign, power, exps, n2_max):
-    """Coefficients of prod (1 + sign*q^e)^power over the given exponents
-    (doubled to stay integral), each factor expanded by the generalized
-    binomial series and convolved with plain dict arithmetic."""
-    acc = {0: 1}
-    for e2 in exps:
-        factor = {}
-        k = 0
-        while k * e2 <= n2_max and (power < 0 or k <= power):
-            factor[k * e2] = gen_binom(power, k) * sign ** k
-            k += 1
-        nxt = {}
-        for a, ca in acc.items():
-            for b, cb in factor.items():
-                if a + b <= n2_max:
-                    nxt[a + b] = nxt.get(a + b, 0) + ca * cb
-        acc = nxt
-    return acc
-
-
 class TestConstructors:
     def test_zero_and_one(self):
         assert QSeries.zero(10).is_zero()
         assert QSeries.one(10).coeff(0) == 1
 
-    def test_monomial(self):
-        m = QSeries.monomial(Fraction(1, 2), 3, 100)
-        assert m.coeff(Fraction(1, 2)) == 3
-
     def test_off_grid_exponent_rejected(self):
         with pytest.raises(GridError):
-            QSeries.monomial(Fraction(1, 7), 1, 100)
+            to_num(Fraction(1, 7))
+        with pytest.raises(GridError):
+            QSeries.one(100).coeff(Fraction(1, 7))
 
     def test_zero_coefficients_dropped(self):
         s = QSeries({0: 0, 48: 2}, 100)
@@ -145,29 +109,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             QSeries({0: 3}, 10).half()
 
-    def test_pow_zero_is_exact_one(self):
-        a = QSeries({-DEN: 1, 0: 5}, 2 * DEN)
-        p = a ** 0
-        assert p.coeff(0) == 1 and (p * a).agrees_with(a)
-
-    @settings(deadline=None, derandomize=True)
-    @given(st.data(), st.integers(0, 5))
-    def test_pow_is_repeated_multiplication(self, data, k):
-        low = data.draw(st.integers(-2 * DEN, 2 * DEN))
-        span = data.draw(st.integers(1, 3 * DEN))
-        lead = data.draw(st.integers(-5, 5).filter(bool))
-        rest = data.draw(st.dictionaries(
-            st.integers(low + 1, low + 2 * span), st.integers(-5, 5), max_size=6
-        ))
-        x = QSeries({**rest, low: lead}, low + span)
-        # the unit at x's relative precision, times x k times
-        expected = QSeries.one(x.order - x.lowest())
-        for _ in range(k):
-            expected = expected * x
-        got = x ** k
-        assert (got.terms, got.order) == (expected.terms, expected.order)
-        assert all(n < got.order for n in got.terms)
-
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(st.data())
     def test_mul_and_shift_match_a_double_loop(self, data):
@@ -201,7 +142,8 @@ class TestArithmetic:
             ))
             return QSeries({**tail, **x.terms}, x.order + 3 * DEN)
 
-        assert (with_tail(a) * with_tail(b)).truncate(order) == got
+        wide = with_tail(a) * with_tail(b)
+        assert wide.order >= order and QSeries(wide.terms, order) == got
 
         s = data.draw(st.integers(-2 * DEN, 2 * DEN))
         moved = a.shift(Fraction(s, DEN))
@@ -212,10 +154,6 @@ class TestArithmetic:
     def test_coeff_beyond_order_raises(self):
         with pytest.raises(ValueError):
             QSeries.one(DEN).coeff(2)
-
-    def test_truncate_cannot_extend(self):
-        with pytest.raises(ValueError):
-            QSeries.one(10).truncate(20)
 
 
 class TestEta:
@@ -245,53 +183,87 @@ class TestEta:
 
 class TestProductForm:
     def test_power_zero(self):
-        assert product_form("1+q^n", 0, 6).terms == {0: 1}
+        assert product_form(1, 2, 0, 6).terms == {0: 1}
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            product_form("1+q^{2n}", 1, 6)
+    def test_progression_must_be_positive(self):
+        for first, step in [(0, 1), (-HALF, 1), (1, 0), (1, -1)]:
+            with pytest.raises(ValueError):
+                product_form(first, step, 1, 6)
 
     def test_negative_power_integer_kind(self):
-        got = product_form("1+q^n", -24, 6)
+        # prod (1 + q^n)^-24 = prod (1 - q^{2n-1})^24
+        got = product_form(1, 2, 24, 6)
         oracle = binomial_product_coeffs(1, -24, [2 * n for n in range(1, 7)], 10)
         for n2, c in oracle.items():
             assert got.coeff(Fraction(n2, 2)) == c
         assert [got.coeff(k) for k in range(4)] == [1, -24, 276, -2048]
 
     def test_negative_power_half_kind(self):
-        got = product_form("1-q^{n-1/2}", -24, 4)
+        got = product_form(HALF, 1, -24, 4)
         oracle = binomial_product_coeffs(-1, -24, [2 * n - 1 for n in range(1, 5)], 7)
         for n2, c in oracle.items():
             assert got.coeff(Fraction(n2, 2)) == c
         for e, c in [(Fraction(1, 2), 24), (1, 300), (Fraction(3, 2), 2624)]:
             assert got.coeff(e) == c
 
-    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    # Each id names the product that the oracle expands factor by factor;
+    # production reaches it through the progressions (1, 1), (1/2, 1) and
+    # (1, 2): 1 + q^n by Euler's prod (1 + q^n) = prod (1 - q^{2n-1})^{-1},
+    # and 1 + q^{n-1/2} as the half-step sign flip of 1 - q^{n-1/2}.
+    PRODUCTS = {
+        "1-q^n": (-1, False, lambda p, o: product_form(1, 1, p, o)),
+        "1+q^n": (1, False, lambda p, o: product_form(1, 2, -p, o)),
+        "1-q^{n-1/2}": (-1, True, lambda p, o: product_form(HALF, 1, p, o)),
+        "1+q^{n-1/2}": (1, True, lambda p, o: _flip(product_form(HALF, 1, p, o))),
+    }
+
+    @pytest.mark.parametrize("kind", list(PRODUCTS))
     @pytest.mark.parametrize("power", [-24, -8, -1, 0, 1, 3, 8])
     @pytest.mark.parametrize(
         # at or below 0, off the step grid, and about 30 q-steps deep
         "order", [-1, 0, Fraction(1, 48), Fraction(37, 48), 30, Fraction(61, 2)], ids=str
     )
     def test_matches_binomial_oracle(self, kind, power, order):
-        sign = -1 if kind.startswith("1-") else 1
-        half = kind.endswith("{n-1/2}")
-        order_num = to_num(order)
-        # largest doubled exponent below the order
-        n2_max = (order_num - 1) // (DEN // 2)
-        exps = range(1 if half else 2, n2_max + 1, 2)
-        oracle = binomial_product_coeffs(sign, power, exps, n2_max)
-        expected = QSeries({n2 * (DEN // 2): c for n2, c in oracle.items()}, order_num)
-        assert product_form(kind, power, order) == expected
+        sign, half, production = self.PRODUCTS[kind]
+        assert production(power, order) == product_oracle(sign, power, half, to_num(order))
 
     def test_power_additivity_random(self):
         rng = random.Random(3)
         for _ in range(8):
-            kind = rng.choice(("1-q^n", "1+q^n", "1-q^{n-1/2}", "1+q^{n-1/2}"))
+            first, step = rng.choice(((1, 1), (HALF, 1), (1, 2)))
             p1, p2 = rng.randrange(-5, 6), rng.randrange(-5, 6)
-            a = product_form(kind, p1, 4)
-            b = product_form(kind, p2, 4)
-            both = product_form(kind, p1 + p2, 4)
-            assert (a * b).agrees_with(both), (kind, p1, p2)
+            a = product_form(first, step, p1, 4)
+            b = product_form(first, step, p2, 4)
+            both = product_form(first, step, p1 + p2, 4)
+            assert (a * b).agrees_with(both), (first, step, p1, p2)
+
+
+def _flip(x):
+    """q^{1/2} -> -q^{1/2} on a series in whole half-steps."""
+    even, odd = x.half_steps(0)
+    return even - odd
+
+
+class TestHalfSteps:
+    @settings(deadline=None, derandomize=True)
+    @given(st.data())
+    def test_parts_sum_to_the_whole(self, data):
+        base = data.draw(st.integers(-2 * DEN, 2 * DEN))
+        steps = data.draw(st.dictionaries(st.integers(-6, 12), st.integers(-9, 9), max_size=8))
+        order = data.draw(st.integers(base - DEN, base + 8 * DEN))
+        x = QSeries({base + m * (DEN // 2): c for m, c in steps.items()}, order)
+        even, odd = x.half_steps(Fraction(base, DEN))
+        assert even.order == odd.order == x.order
+        assert even + odd == x
+        assert all((n - base) % DEN == 0 for n in even.terms)
+        assert all((n - base) % DEN == DEN // 2 for n in odd.terms)
+
+    def test_off_the_half_step_lattice_rejected(self):
+        x = QSeries({0: 1, DEN // 2: 2, DEN // 3: 5}, 2 * DEN)
+        with pytest.raises(GridError):
+            x.half_steps(0)
+        with pytest.raises(GridError):
+            QSeries({DEN: 1}, 2 * DEN).half_steps(Fraction(1, 48))
 
 
 def scale_exponents(a, factor):
@@ -317,18 +289,18 @@ class TestScaleExponents:
         assert scale_exponents(QSeries.one(100), 2).coeff(0) == 1
 
     def test_exponent_doubling(self):
-        m = QSeries.monomial(Fraction(1, 24), 1, 100)
+        m = QSeries({to_num(Fraction(1, 24)): 1}, 100)
         assert scale_exponents(m, 2).coeff(Fraction(1, 12)) == 1
 
     def test_off_grid_rejected(self):
-        m = QSeries.monomial(Fraction(1, 48), 1, 100)
+        m = QSeries({1: 1}, 100)
         with pytest.raises(GridError):
             scale_exponents(m, Fraction(1, 2))
 
     def test_product_doubling_identity(self):
         # prod (1+q^n) * prod (1-q^n) = prod (1-q^{2n})
-        lhs = product_form("1+q^n", 1, 10) * product_form("1-q^n", 1, 10)
-        rhs = scale_exponents(product_form("1-q^n", 1, 5), 2)
+        lhs = product_form(1, 2, -1, 10) * product_form(1, 1, 1, 10)
+        rhs = scale_exponents(product_form(1, 1, 1, 5), 2)
         assert lhs.agrees_with(rhs)
 
 
