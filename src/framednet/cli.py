@@ -186,9 +186,17 @@ def _cached(args, spec: str, request: dict, compute) -> dict:
     return result
 
 
+def _decimal(text: str) -> int:
+    """An int in ASCII digits with an optional sign, else ValueError; int()
+    alone would also read '1_0' as 10 and digits of any script."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _int_in(low: int, high: int, text: str) -> int:
     try:
-        n = int(text)
+        n = _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if n < low:
@@ -203,15 +211,6 @@ def _int_in(low: int, high: int, text: str) -> int:
 _order = partial(_int_in, 0, ORDER_LIMIT)
 _power_dimension = partial(_int_in, 1, POWER_D_LIMIT)
 _graph_dimension = partial(_int_in, 0, GRAPH_D_LIMIT)
-
-
-def _parse_fraction(s: str):
-    from fractions import Fraction
-
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad rational {s!r}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ def _cmd_extend(args) -> int:
     if not args.system.startswith("z4pow:"):
         raise InputError(f"unknown system {args.system!r} (expected z4pow:<d>)")
     try:
-        d = int(args.system.split(":", 1)[1])
+        d = _decimal(args.system.split(":", 1)[1])
     except ValueError:
         raise InputError(f"bad system dimension in {args.system!r}")
     if d < 1:
@@ -354,22 +353,22 @@ def _parse_decomp_file(path: str) -> list:
     (label, multiplicity) pairs, each label a tuple of Fractions."""
     from .fusion import ISING_LABELS
 
+    weights = {str(h): h for h in ISING_LABELS}  # the texts 0, 1/2 and 1/16
     mults: Dict[tuple, int] = {}
     for line in _read_text(path, "decomposition").split("\n"):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        label = tuple(_parse_fraction(t) for t in parts[0].split(","))
-        if any(e not in ISING_LABELS for e in label):
+        label = tuple(weights.get(t) for t in parts[0].split(","))
+        if None in label:
             raise InputError(f"bad label entry in {line!r}")
         if len(parts) > 2:
             raise InputError(f"extra field after the multiplicity in {line!r}")
-        field = parts[1] if len(parts) > 1 else "1"
-        # int() alone would also read '1_0' as 10
-        if not re.fullmatch(r"[+-]?[0-9]+", field):
+        try:
+            mult = _decimal(parts[1] if len(parts) > 1 else "1")
+        except ValueError:
             raise InputError(f"bad multiplicity in {line!r}")
-        mult = int(field)
         if mult < 1:
             raise InputError(f"multiplicity must be positive in {line!r}")
         if mults and len(label) != len(next(iter(mults))):

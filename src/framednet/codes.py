@@ -249,10 +249,9 @@ def parse_code_lines(text: str, alphabet: int) -> List[Vector]:
         line = line.split("#", 1)[0].strip().replace(" ", "")
         if not line:
             continue
-        try:
-            row = tuple(int(ch) for ch in line)
-        except ValueError as e:
-            raise CodeError(f"bad code line {line!r}") from e
+        if not (line.isascii() and line.isdigit()):  # int() reads any script's digits
+            raise CodeError(f"bad code line {line!r}")
+        row = tuple(map(int, line))
         if any(s >= alphabet for s in row):
             raise CodeError(f"symbol out of range in {line!r}")
         rows.append(row)
@@ -324,18 +323,6 @@ def load_code(spec: str, text: Optional[str] = None) -> BinaryCode:
 
 # ---------------------------------------------------------------------------
 # Z4 codes
-
-
-# Section of the quotient-by-frame map used when building delta codes.  It
-# differs from the hat map 00->00, 11->20, 10->11, 01->31 only at 01, by a
-# (2,2) block, which is invisible modulo the full (22)-block code but picks
-# the coset consistent with the glue vector normalization when only even
-# (22)-counts are adjoined.
-_HAT_SECTION = {(0, 0): (0, 0), (1, 1): (2, 0), (1, 0): (1, 1), (0, 1): (1, 3)}
-
-
-def _hat_section(bits: Sequence[int]) -> Vector:
-    return tuple(s for i in range(0, len(bits), 2) for s in _HAT_SECTION[bits[i], bits[i + 1]])
 
 
 class Z4Code:
@@ -551,19 +538,33 @@ def sigma2_code(n: int, zero_variant: bool = False) -> Z4Code:
     if n < 1:
         raise CodeError("n must be positive")
     # generator i is 22 on pair i, or 2222 on pairs i and i + 1
-    width, count = (4, n - 1) if zero_variant else (2, n)
-    gens = [[2 if 2 * i <= j < 2 * i + width else 0 for j in range(2 * n)] for i in range(count)]
-    return Z4Code(2 * n, gens or [[0] * (2 * n)])
+    block, count = (0b1111, n - 1) if zero_variant else (0b11, n)
+    return Z4Code._from_planes(2 * n, [(0, block << 2 * i) for i in range(count)] or [(0, 0)])
+
+
+def _glue(d: int) -> Planes:
+    """The extra coset representative of the second lattice construction:
+    1 on the even coordinates, and the last pair 32 when d = 8 (mod 16)."""
+    if d % 8 != 0:
+        raise CodeError("length must be a multiple of 8")
+    return ((1 << d) - 1) // 3, 0b11 << d - 2 if d % 16 == 8 else 0
 
 
 def glue_vector(d: int) -> Vector:
-    """The extra coset representative of the second lattice construction."""
-    if d % 8 != 0:
-        raise CodeError("length must be a multiple of 8")
-    v = [1, 0] * (d // 2)
-    if d % 16 == 8:
-        v[-2], v[-1] = 3, 2
-    return tuple(v)
+    """The extra coset representative as a word."""
+    return _word(*_glue(d), d)
+
+
+def _section(row: int, d: int) -> Planes:
+    """The quotient-by-frame section of a packed binary row of length d, by
+    pairs 00->00, 11->20, 10->11, 01->13.  It differs from the hat map
+    (01->31) by a (2,2) block at 01, invisible modulo the full (22)-block
+    code, and picks the coset the glue vector's normalization needs when
+    only even (22)-counts are adjoined."""
+    evens = ((1 << d) - 1) // 3  # 0101...01
+    a, b = row & evens, row >> 1 & evens  # each pair's bits, at its even coordinate
+    odd = a ^ b  # both symbols odd
+    return odd | odd << 1, a & b | (b & ~a) << 1  # 2 first where 11, 3 second where 01
 
 
 def delta_code(code: BinaryCode, variant: str) -> Z4Code:
@@ -572,11 +573,11 @@ def delta_code(code: BinaryCode, variant: str) -> Z4Code:
         raise CodeError(f"variant must be L or Ltilde, got {variant!r}")
     check_lattice_hypotheses(code)
     d = code.length
-    gens: List[Vector] = [_hat_section(g) for g in code.generators]
+    gens = [_section(r, d) for r in code._rows.values()]
     if variant == "Ltilde":
-        gens.append(glue_vector(d))
-    gens.extend(sigma2_code(d // 2, zero_variant=variant == "Ltilde").generators)
-    out = Z4Code(d, gens)
+        gens.append(_glue(d))
+    gens += sigma2_code(d // 2, zero_variant=variant == "Ltilde")._gens
+    out = Z4Code._from_planes(d, gens)
     expected = len(code) << (d // 2)
     if len(out) != expected:
         raise CodeError(f"delta code cardinality {len(out)} != {expected}")

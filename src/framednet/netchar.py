@@ -8,19 +8,19 @@ form (oracle).
 Cross agreement of the two is part of the acceptance suite.  A third,
 `lattice_net_char`, sums the Z4 code's enumerated weight profile and
 serves the tests as an oracle of the frame route.  All three reduce to
-one kernel, a sum of products of powers of a few series.
+one kernel, a sum of products of powers of a few series, each series
+built from the theta sums `qseries.theta_form` and products `product_form`.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import lru_cache, reduce
 from fractions import Fraction
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .codes import BinaryCode, Z4Code, check_holomorphic_hypotheses, check_lattice_hypotheses
-from .qseries import DEN, QSeries, eisenstein_e4, eta_power, product_form, to_num
+from .qseries import DEN, QSeries, eisenstein_e4, eta_power, product_form, theta_form, to_num
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -79,17 +79,7 @@ def u14_sector_char(j: int, steps: int = 5) -> NetCharacter:
     j %= 4
     c24 = Fraction(1, 24)
     order = Fraction(_char_order_num(U14_WEIGHTS[j] - c24, steps), DEN)
-    theta_bound = order + c24
-    terms: Dict[int, int] = {}
-    bound = int(math.isqrt(int(8 * theta_bound)) + 2)
-    for n in range(-bound - 4, bound + 5):
-        if n % 4 != j:
-            continue
-        e = Fraction(n * n, 8)
-        if e < theta_bound:
-            num = to_num(e)
-            terms[num] = terms.get(num, 0) + 1
-    theta = QSeries(terms, to_num(theta_bound))
+    theta = theta_form(j, 4, Fraction(1, 8), order + c24)
     series = theta * eta_power(-1, order + Fraction(U14_WEIGHTS[j]))
     return NetCharacter(QSeries(series.terms, to_num(order)), Fraction(1))
 
@@ -167,7 +157,7 @@ def frame_char(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
     over the pairs (a, b) of v of chi_a chi_b + s chi_{a+2} chi_{b+2}, the
     branching of the rank-two net into pairs of Ising factors: s = 1 for
     L, and Ltilde, which keeps the even (22)-counts of each coset, takes
-    the mean over s = 1, -1.  The cosets are v = hat_section(c) for every
+    the mean over s = 1, -1.  The cosets are v = codes._section(c) for every
     codeword c, and for Ltilde also v + glue_vector(d).  As chi_3 = chi_1,
     a pair 00 of c gives chi_0^2 + s chi_2^2, a pair 11 (1 + s) chi_0 chi_2
     and a pair 10 or 01 (1 + s) chi_1^2, so c counts only through its pair
@@ -227,21 +217,6 @@ def _assert_vacuum(series: QSeries, d: int) -> None:
 # theta route
 
 
-def _coset_sum(residue: Fraction, signed: bool, bound: Fraction) -> QSeries:
-    """sum over x in residue + 2Z of (+-1)^{(x-residue)/2} q^{x^2/4}, below bound."""
-    terms: Dict[int, int] = {}
-    limit = int(math.isqrt(int(bound)) + 3)
-    for m in range(-limit, limit + 1):
-        x = residue + 2 * m
-        e = x * x / 4
-        if e < bound:
-            num = to_num(e)
-            sign = (-1 if m % 2 else 1) if signed else 1
-            c = terms.get(num, 0) + sign
-            terms[num] = c
-    return QSeries(terms, to_num(bound))
-
-
 def theta_series(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
     """Theta series sum_v q^{<v,v>/2} of the lattice built from `code`.
 
@@ -256,18 +231,25 @@ def theta_series(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
     if variant not in ("L", "Ltilde"):
         raise ValueError(f"variant must be L or Ltilde, got {variant!r}")
     enumerator = {(d - w, w): count for w, count in wenum.items()}
+    quarter = Fraction(1, 4)
 
-    def lattice_sum(residue: Fraction, signed: bool) -> QSeries:
-        bases = [_coset_sum(residue + r, signed, bound) for r in (0, 1)]
+    def plain(x: Fraction) -> QSeries:  # sum over y in x + 2Z of q^{y^2/4}
+        return theta_form(x, 2, quarter, bound)
+
+    def signed(x: Fraction) -> QSeries:  # the same with sign (-1)^{(y - x)/2}
+        return theta_form(x, 4, quarter, bound) - theta_form(x + 2, 4, quarter, bound)
+
+    def lattice_sum(coset, residue: Fraction) -> QSeries:
+        bases = [coset(residue), coset(residue + 1)]
         return _sum_of_products(enumerator, bases, to_num(bound))
 
     if variant == "L":
-        return lattice_sum(Fraction(0), False)
+        return lattice_sum(plain, Fraction(0))
     # unshifted part: the 2Z-parts constrained to 4Z, via a sign average;
     # shifted part: coordinates offset by 1/2, constraint parity set by d mod 16
     shift_sign = 1 if d % 16 == 0 else -1
-    total = lattice_sum(Fraction(0), False) + lattice_sum(Fraction(0), True)
-    total = total + lattice_sum(HALF, False) + lattice_sum(HALF, True).scale(shift_sign)
+    total = lattice_sum(plain, Fraction(0)) + lattice_sum(signed, Fraction(0))
+    total = total + lattice_sum(plain, HALF) + lattice_sum(signed, HALF).scale(shift_sign)
     return total.half()
 
 

@@ -7,9 +7,10 @@ numerator over 48): exponents >= order are unknown, exponents < order are
 exact.  Orders propagate pessimistically through multiplication so a
 retained coefficient is never polluted by discarded terms.
 
-Every infinite product is one routine, `product_form`, over an arithmetic
-progression of exponents; a sign flip q^{1/2} -> -q^{1/2} is one split,
-`QSeries.half_steps`, into the terms an even and an odd number of
+The two sides of Jacobi's triple product are one routine each over an
+arithmetic progression: every infinite product is `product_form`, and
+every theta sum is `theta_form`.  A sign flip q^{1/2} -> -q^{1/2} is one
+split, `QSeries.half_steps`, into the terms an even and an odd number of
 half-steps above a base exponent.
 """
 
@@ -83,10 +84,7 @@ class QSeries:
 
     def agrees_with(self, other: "QSeries") -> bool:
         """Termwise equality up to the smaller of the two orders."""
-        o = min(self.order, other.order)
-        a = {n: c for n, c in self.terms.items() if n < o}
-        b = {n: c for n, c in other.terms.items() if n < o}
-        return a == b
+        return self.first_difference(other) is None
 
     def first_difference(self, other: "QSeries"):
         """Lowest exponent numerator where the two disagree, or None."""
@@ -194,6 +192,25 @@ def product_form(first: ExpLike, step: ExpLike, power: int, order: ExpLike) -> Q
             k += 1
         result = result * QSeries(factor_terms, order_num)
     return result
+
+
+def theta_form(first: ExpLike, step: ExpLike, scale: ExpLike, order: ExpLike) -> QSeries:
+    """Sum over x in first + step*Z of q^{scale * x^2}, exact below `order`.
+
+    step and scale must be positive.  The walk goes out both ways from the
+    least nonnegative member until the exponent reaches `order`; an
+    exponent it meets off the 1/48 grid raises GridError.
+    """
+    step, scale, order_num = Fraction(step), Fraction(scale), to_num(order)
+    if step <= 0 or scale <= 0:
+        raise ValueError(f"step {step} and scale {scale} must be positive")
+    start = Fraction(first) % step
+    terms: dict = {}
+    for x, dx in ((start, step), (start - step, -step)):
+        while (n := to_num(scale * x * x)) < order_num:
+            terms[n] = terms.get(n, 0) + 1
+            x += dx
+    return QSeries(terms, order_num)
 
 
 def eta_power(k: int, order: ExpLike) -> QSeries:

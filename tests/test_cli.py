@@ -117,6 +117,14 @@ class TestChar:
         assert "--order: must be nonnegative" in err
 
     @pytest.mark.parametrize("command", ["char", "orbifold-char"])
+    @pytest.mark.parametrize("order", ["1_0", "\u0661\u0660", " 10"])
+    def test_order_not_in_ascii_digits_exit_2(self, capsys, command, order):
+        # int() alone reads all three as 10
+        code, out, err = run(capsys, command, "--code", "builtin:h8", "--order", order)
+        assert code == 2 and out == ""
+        assert f"error: argument --order: invalid int value: {order!r}" in err
+
+    @pytest.mark.parametrize("command", ["char", "orbifold-char"])
     def test_order_at_the_limit_parses(self, command):
         args = cli.build_parser().parse_args([command, "--code", "builtin:h8",
                                               "--order", str(ORDER_LIMIT)])
@@ -174,9 +182,12 @@ class TestMalformedInput:
             ("1100\n110\n", "generator lengths differ"),
             ("", "empty code file"),
             ("11x0\n", "bad code line '11x0'"),
+            # Arabic-Indic digits, which int() reads as 0 and 1
+            ("\u0661\u0661\u0661\u0661\u0660\u0660\u0660\u0660\n00111100\n00001111\n01010101\n",
+             "bad code line '\u0661\u0661\u0661\u0661\u0660\u0660\u0660\u0660'"),
             (b"\xff\n", f"code file is not UTF-8 text: {NOT_UTF8}"),
         ],
-        ids=["symbol", "ragged", "empty", "not-a-digit", "not-utf8"],
+        ids=["symbol", "ragged", "empty", "not-a-digit", "not-ascii-digit", "not-utf8"],
     )
     @pytest.mark.parametrize(
         "argv",
@@ -401,6 +412,12 @@ class TestExtend:
         code, _, err = run(capsys, "extend", "--system", "u1", "--subgroup", "builtin:h8")
         assert code == 2 and "z4pow" in err
 
+    @pytest.mark.parametrize("system", ["z4pow:0_8", "z4pow:\u0668", "z4pow:8.0"])
+    def test_system_not_in_ascii_digits_exit_2(self, capsys, system):
+        code, out, err = run(capsys, "extend", "--system", system, "--subgroup", "builtin:h8")
+        assert code == 2 and out == ""
+        assert err == f"error: bad system dimension in {system!r}\n"
+
     def test_nonpositive_system_exit_2(self, capsys):
         code, out, err = run(capsys, "extend", "--system", "z4pow:0", "--subgroup", "builtin:h8")
         assert code == 2 and out == ""
@@ -510,6 +527,13 @@ class TestCensus:
         assert a * b == 0 and a * a + 2 * b * b == 2 ** d
         assert doc["dimRoot2Pow"] == 2 ** (d + 1)
 
+    @pytest.mark.parametrize("command", ["census", "emit-graph"])
+    @pytest.mark.parametrize("d", ["\u0663", "0_3", "3.0"])
+    def test_d_not_in_ascii_digits_exit_2(self, capsys, command, d):
+        code, out, err = run(capsys, command, "--d", d)
+        assert code == 2 and out == ""
+        assert f"error: argument --d: invalid int value: {d!r}" in err
+
     @pytest.mark.parametrize("d", ["0", "-3"])
     def test_nonpositive_d_exit_2(self, capsys, d):
         code, out, err = run(capsys, "census", "--d", d)
@@ -574,6 +598,12 @@ class TestFramed:
     def test_bad_label_exit_2(self, capsys, tmp_path):
         for content, message in [
             ("0,1/3\n", "bad label entry in '0,1/3'"),
+            # a label is one of the texts 0, 1/2 and 1/16, though Fraction()
+            # reads these as 1/16 and 1/2
+            ("0,0\n1/1_6,1/1_6\n", "bad label entry in '1/1_6,1/1_6'"),
+            ("0,0\n2/4,0.5\n", "bad label entry in '2/4,0.5'"),
+            ("0,0\n\u0661/\u0662,0\n", "bad label entry in '\u0661/\u0662,0'"),
+            ("0,0\n1/0,0\n", "bad label entry in '1/0,0'"),
             (b"\xff\n", f"decomposition file is not UTF-8 text: {NOT_UTF8}"),
         ]:
             path = write_input(tmp_path / "d.txt", content)

@@ -199,6 +199,8 @@ def _enumerated_pair_profile(code):
 
 
 _HAT = {(0, 0): (0, 0), (1, 1): (2, 0), (1, 0): (1, 1), (0, 1): (3, 1)}
+# the section delta_code uses: the hat map but 01->13
+_SECTION = {(0, 0): (0, 0), (1, 1): (2, 0), (1, 0): (1, 1), (0, 1): (1, 3)}
 
 
 def hat_map(bits):
@@ -343,13 +345,13 @@ class TestZ4Codes:
 def _enumerated_pair_types(code, variant):
     """Cosets of delta_code(code, variant) modulo {(00),(22)}^{d/2} counted
     by their sorted coordinate pairs, each key a sorted ((a, b), count),
-    by listing every codeword: hat_section(c), and for Ltilde also
-    hat_section(c) + glue_vector(d)."""
+    by listing every codeword: its _SECTION v, and for Ltilde also
+    v + glue_vector(d)."""
     d = code.length
     shifts = [(0,) * d] + ([glue_vector(d)] if variant == "Ltilde" else [])
     census = Counter()
     for c in code.codewords():
-        v = codes._hat_section(c)
+        v = [s for pair in zip(c[0::2], c[1::2]) for s in _SECTION[pair]]
         for shift in shifts:
             w = [(a + b) % 4 for a, b in zip(v, shift)]
             pairs = Counter(tuple(sorted(p)) for p in zip(w[::2], w[1::2]))

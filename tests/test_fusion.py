@@ -39,6 +39,8 @@ from framednet.fusion import (
     orbifold_census,
     simple_current_extension,
 )
+from framednet.netchar import frame_char, theta_over_eta
+from framednet.orbifold import orbifold_vacuum_char
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -735,6 +737,12 @@ def _h8_squared():
     return BinaryCode(16, rows)
 
 
+def _d16_plus():
+    """d16+: the blocks 1111 at pair offsets 0-12 and the glue 0101...01."""
+    rows = [[1 if 2 * i <= j < 2 * i + 4 else 0 for j in range(16)] for i in range(7)]
+    return BinaryCode(16, rows + [[0, 1] * 8])
+
+
 def _span(rows):
     """Every nonzero vector of the F2 row space of `rows`."""
     span = {tuple(0 for _ in rows[0])} if rows else set()
@@ -781,6 +789,20 @@ class TestFramedFromCode:
         undoubled = [row[::2] for row in fs.sign_matrix]
         assert all(row[::2] == row[1::2] for row in fs.sign_matrix)
         assert _span(undoubled) == supports - {(0,) * d}
+
+    @pytest.mark.parametrize(
+        "variant, kls", [("L", [(30, 2), (31, 1)]), ("Ltilde", [(29, 3), (30, 2)])]
+    )
+    def test_milnor_pair(self, variant, kls):
+        # h8+h8 and d16+ share their weight enumerator, so their characters by
+        # both routes and their orbifold characters agree; (k, l) tells them apart
+        pair = (_h8_squared(), _d16_plus())
+        enumerators = [codes.check_holomorphic_hypotheses(c).weight_enumerator for c in pair]
+        assert enumerators[0] == enumerators[1]
+        for char in (frame_char, theta_over_eta, orbifold_vacuum_char):
+            assert char(pair[0], variant, 8) == char(pair[1], variant, 8), char.__name__
+        framed = [framed_from_code(delta_code(c, variant)) for c in pair]
+        assert [(fs.num_factors, fs.k, fs.l) for fs in framed] == [(32, *kl) for kl in kls]
 
     @pytest.mark.parametrize("variant, kl", [("L", (37, 11)), ("Ltilde", (36, 12))])
     def test_golay24(self, variant, kl):

@@ -1,6 +1,7 @@
 """Exact series arithmetic, checked against independently coded oracles:
 a partition-counting DP for eta powers, pentagonal numbers for eta
-itself, and binomial-series convolution for the product forms.
+itself, binomial-series convolution for the product forms, a windowed
+sum for the theta forms, and the two sides of Jacobi's triple product.
 """
 
 import json
@@ -10,7 +11,15 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from framednet.qseries import DEN, GridError, QSeries, eta_power, product_form, to_num
+from framednet.qseries import (
+    DEN,
+    GridError,
+    QSeries,
+    eta_power,
+    product_form,
+    theta_form,
+    to_num,
+)
 from oracles import binomial_product_coeffs, product_oracle
 
 HALF = Fraction(1, 2)
@@ -236,6 +245,71 @@ class TestProductForm:
             b = product_form(first, step, p2, 4)
             both = product_form(first, step, p1 + p2, 4)
             assert (a * b).agrees_with(both), (first, step, p1, p2)
+
+
+def window_theta(first, step, scale, order):
+    """sum over x in first + step*Z of q^{scale x^2} below order, by a fixed
+    window of members around 0."""
+    first, step, scale = Fraction(first), Fraction(step), Fraction(scale)
+    terms = {}
+    for k in range(-300, 301):
+        e = scale * (first + k * step) ** 2
+        if e < Fraction(order):
+            terms[to_num(e)] = terms.get(to_num(e), 0) + 1
+    return QSeries(terms, to_num(order))
+
+
+class TestThetaForm:
+    @pytest.mark.parametrize(
+        "first, step, scale",
+        [
+            (0, 1, HALF),
+            (1, 4, Fraction(1, 8)),  # the rank-one sectors
+            (-3, 4, Fraction(1, 8)),
+            (6, 4, Fraction(1, 8)),
+            (HALF, 2, Fraction(1, 4)),  # the lattice cosets
+            (Fraction(-5, 2), 4, Fraction(1, 4)),
+            (5, 12, Fraction(1, 24)),  # eta's pentagonal sum
+            (Fraction(1, 3), Fraction(2, 3), Fraction(3, 16)),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("order", [-1, 0, Fraction(1, 48), Fraction(7, 3), 30], ids=str)
+    def test_matches_a_window_sum(self, first, step, scale, order):
+        assert theta_form(first, step, scale, order) == window_theta(first, step, scale, order)
+
+    @pytest.mark.parametrize("step, scale", [(0, 1), (-4, 1), (4, 0), (4, Fraction(-1, 8))])
+    def test_step_and_scale_must_be_positive(self, step, scale):
+        with pytest.raises(ValueError):
+            theta_form(1, step, scale, 5)
+
+    def test_off_grid_exponent_rejected(self):
+        with pytest.raises(GridError):
+            theta_form(1, 1, Fraction(1, 96), 5)
+        with pytest.raises(GridError):
+            theta_form(0, 1, HALF, Fraction(1, 96))
+        # 4 x^2 / 96 stays on the grid for every even x
+        assert theta_form(0, 2, Fraction(1, 96), 1).coeff(Fraction(1, 24)) == 2
+
+    @pytest.mark.parametrize(
+        "order", [0, Fraction(1, 24), Fraction(25, 24), 40, Fraction(301, 3)], ids=str
+    )
+    def test_pentagonal_theorem(self, order):
+        # eta = sum over n > 0 of chi(n) q^{n^2/24}, where chi is 1 at
+        # n = +-1 and -1 at n = +-5 (mod 12)
+        lhs = theta_form(1, 12, Fraction(1, 24), order) - theta_form(5, 12, Fraction(1, 24), order)
+        assert lhs == eta_power(1, order)
+
+    @pytest.mark.parametrize("order", [0, HALF, 1, 17, Fraction(81, 2)], ids=str)
+    def test_jacobi_triple_product(self, order):
+        # sum_n (+-1)^n q^{n^2/2} = prod (1 - q^n) (1 +- q^{n-1/2})^2, the sign
+        # flip of prod (1 - q^{n-1/2})^2 being its half-step split
+        even, odd = product_form(HALF, 1, 2, order).half_steps(0)
+        euler = product_form(1, 1, 1, order)
+        plus = theta_form(0, 1, HALF, order)
+        minus = theta_form(0, 2, HALF, order) - theta_form(1, 2, HALF, order)
+        assert plus == euler * (even - odd)
+        assert minus == euler * (even + odd)
 
 
 def _flip(x):
