@@ -44,8 +44,8 @@ POWER_D_LIMIT = 7141
 # Xeon, Python 3.11.7).
 EXTEND_D_LIMIT = 1600
 # a series' cost grows about as order^2: at order 1000, golay24/Ltilde
-# `char --route both` took 16 s (24 MB), of which the code route is most,
-# `char --route theta` 1.4 s (17 MB) and `orbifold-char --pieces` 4.8 s
+# `char --route both` took 12 s (20 MB), of which the code route is most,
+# `char --route theta` 2.3 s (17 MB) and `orbifold-char --pieces` 6.4 s
 # (24 MB) (fresh process, median of 3, 2-core Xeon, Python 3.11.7).
 ORDER_LIMIT = 1000
 

@@ -1,10 +1,10 @@
 """Characters of the building-block nets and of the lattice nets.
 
 Two independent routes to the lattice-net vacuum character are kept side
-by side: the frame route, a sum over the binary code's words counted by
-their pair weights (primary), and the lattice theta series divided by
-eta^d, a polynomial in the E8 character E4 / eta^8 fitted as a modular
-form (oracle).
+by side: the frame route, a theta sum over the binary code's words
+counted by their pair weights and divided once by eta^d (primary), and
+the lattice theta series divided by eta^d, a polynomial in the E8
+character E4 / eta^8 fitted as a modular form (oracle).
 Cross agreement of the two is part of the acceptance suite.  A third,
 `lattice_net_char`, sums the Z4 code's enumerated weight profile and
 serves the tests as an oracle of the frame route.  All three reduce to
@@ -73,8 +73,7 @@ def u14_sector_char(j: int, steps: int = 5) -> NetCharacter:
     """Character of the rank-one net's sector j in Z4 (c = 1).
 
     chi_j = eta^{-1} * sum over n = j mod 4 of q^{n^2/8}, kept `steps`
-    q-steps above its own leading term, so any product of the chi_j keeps
-    `steps` q-steps above the product's leading term.
+    q-steps above its own leading term.
     """
     j %= 4
     c24 = Fraction(1, 24)
@@ -112,38 +111,27 @@ def _sum_of_products(
 ) -> QSeries:
     """Sum of count * prod_i bases[i]**k_i over the entries (k, count).
 
-    Equal bases are merged first; an entry raising a zero base to a positive
-    power adds nothing.  The powers of each distinct base come from one
-    memoized ladder: power k is power k // 2 squared, times the base when k
-    is odd.  So every exponent of a base reuses the squarings of the others,
-    and an odd step multiplies by the sparse base rather than by a dense
-    power.  A product's truncation order is its lowest exponent plus the
-    smaller relative precision of its factors, so power k has the order of
-    the plain k-fold product of the base, however the ladder groups it.
+    The powers of each base come from one memoized ladder: power k is
+    power k // 2 squared, times the base when k is odd.  So every exponent
+    of a base reuses the squarings of the others, and an odd step
+    multiplies by the sparse base rather than by a dense power.  A
+    product's truncation order is its lowest exponent plus the smaller
+    relative precision of its factors, so power k has the order of the
+    plain k-fold product of the base, however the ladder groups it.
     Every term must be exact below `order`, where the sum is cut.
     """
-    distinct: Dict[QSeries, int] = {}
-    slot = [distinct.setdefault(b, len(distinct)) for b in bases]
-    series = list(distinct)
-    merged: Dict[Tuple[int, ...], int] = {}
-    for exponents, count in enumerator.items():
-        ks = [0] * len(series)
-        for i, k in zip(slot, exponents):
-            ks[i] += k
-        if not any(k and series[i].is_zero() for i, k in enumerate(ks)):
-            merged[tuple(ks)] = merged.get(tuple(ks), 0) + count
 
     @lru_cache(maxsize=None)
     def power(i: int, k: int) -> QSeries:
         if k == 1:
-            return series[i]
+            return bases[i]
         if k % 2:
-            return power(i, k - 1) * series[i]
+            return power(i, k - 1) * bases[i]
         half = power(i, k // 2)
         return half * half
 
     total = QSeries.zero(order)
-    for ks, count in merged.items():
+    for ks, count in enumerator.items():
         factors = [power(i, k) for i, k in enumerate(ks) if k]
         term = reduce(operator.mul, factors) if factors else QSeries.one(order)
         total = total + term.scale(count)
@@ -153,54 +141,62 @@ def _sum_of_products(
 def frame_char(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
     """Vacuum character of the lattice net of `code` over its Ising frame (c = d).
 
-    A coset v + {(00),(22)}^{d/2} of the Z4 code contributes the product
-    over the pairs (a, b) of v of chi_a chi_b + s chi_{a+2} chi_{b+2}, the
-    branching of the rank-two net into pairs of Ising factors: s = 1 for
+    Theta_L / eta^d, with Theta_L summed over the pairs of coordinates.
+    With theta_j the sum over n = j mod 4 of q^{n^2/8}, a coset
+    v + {(00),(22)}^{d/2} of the Z4 code contributes the product over the
+    pairs (a, b) of v of theta_a theta_b + s theta_{a+2} theta_{b+2}, the
+    rank-two lattice of a pair split into its two Ising factors: s = 1 for
     L, and Ltilde, which keeps the even (22)-counts of each coset, takes
     the mean over s = 1, -1.  The cosets are v = codes._section(c) for every
-    codeword c, and for Ltilde also v + glue_vector(d).  As chi_3 = chi_1,
-    a pair 00 of c gives chi_0^2 + s chi_2^2, a pair 11 (1 + s) chi_0 chi_2
-    and a pair 10 or 01 (1 + s) chi_1^2, so c counts only through its pair
-    weights (n11, m) (codes.PairProfile), and at s = -1 only c = 0 is left.
-    Shifted by the glue's pair 10, a pair 00 or 11 of c gives
-    chi_1 (chi_0 + s chi_2) and a pair 10 or 01 s times that, where m is
-    even as c is doubly even; when d = 8 (mod 16) the glue's last pair,
-    32, multiplies its pair's term by s once more.  So every codeword
-    gives the same glue term.
+    codeword c, and for Ltilde also v + glue_vector(d).  As theta_3 = theta_1,
+    a pair 00 of c gives theta_0^2 + s theta_2^2, a pair 11
+    (1 + s) theta_0 theta_2 and a pair 10 or 01 (1 + s) theta_1^2, so c
+    counts only through its pair weights (n11, m) (codes.PairProfile), and
+    at s = -1 only c = 0 is left.  Shifted by the glue's pair 10, a pair 00
+    or 11 of c gives theta_1 (theta_0 + s theta_2) and a pair 10 or 01 s
+    times that, where m is even as c is doubly even; when d = 8 (mod 16)
+    the glue's last pair, 32, multiplies its pair's term by s once more.
+    So every codeword gives the same glue term.
     """
     if variant not in ("L", "Ltilde"):
         raise ValueError(f"variant must be L or Ltilde, got {variant!r}")
     d, half = code.length, code.length // 2
     profile = check_lattice_hypotheses(code).pair_profile
-    chi0, chi1, chi2 = (u14_sector_char(j, steps).series for j in range(3))
-    bases = [chi0 * chi0 + chi2 * chi2, (chi0 * chi2).scale(2), (chi1 * chi1).scale(2)]
+    th0, th1, th2 = (theta_form(j, 4, Fraction(1, 8), steps + 1) for j in range(3))
+    bases = [th0 * th0 + th2 * th2, (th0 * th2).scale(2), (th1 * th1).scale(2)]
     enumerator = {(half - n11 - m, n11, m): count for (n11, m), count in profile.items()}
     if variant == "Ltilde":
         # the code at s = -1, and the glue coset at s = 1 and s = -1
-        bases += [chi0 * chi0 - chi2 * chi2, chi1 * (chi0 + chi2), chi1 * (chi0 - chi2)]
+        bases += [th0 * th0 - th2 * th2, th1 * (th0 + th2), th1 * (th0 - th2)]
         enumerator = {k + (0, 0, 0): count for k, count in enumerator.items()}
         sign = 1 if d % 16 == 0 else -1
         enumerator[0, 0, 0, half, 0, 0] = 1
         enumerator[0, 0, 0, 0, half, 0] = len(code)
         enumerator[0, 0, 0, 0, 0, half] = sign * len(code)
-    series = _sum_of_products(enumerator, bases, _char_order_num(Fraction(-d, 24), steps))
+    theta = _sum_of_products(enumerator, bases, to_num(steps + 1))
     if variant == "Ltilde":
-        series = series.half()
-    _assert_vacuum(series, d)
-    return NetCharacter(series, Fraction(d))
+        theta = theta.half()
+    return _over_eta(theta, d, steps)
 
 
 def lattice_net_char(group: Z4Code, steps: int = 5) -> NetCharacter:
     """Vacuum character of the simple current extension by `group` (c = d).
 
-    Summed over the complete weight profile, which enumerates `group`:
-    sum over profiles of count * chi_0^{n0} chi_1^{n1} chi_2^{n2} chi_3^{n3}.
+    Theta / eta^d, with Theta summed over the complete weight profile,
+    which enumerates `group`: sum over profiles of
+    count * theta_0^{n0} theta_1^{n1} theta_2^{n2} theta_3^{n3}.
     The tests' oracle of frame_char.
     """
-    d = group.length
+    thetas = [theta_form(j, 4, Fraction(1, 8), steps + 1) for j in range(4)]
+    theta = _sum_of_products(group.weight_profile(), thetas, to_num(steps + 1))
+    return _over_eta(theta, group.length, steps)
+
+
+def _over_eta(theta: QSeries, d: int, steps: int) -> NetCharacter:
+    """The vacuum character theta / eta^d, kept `steps` q-steps above
+    q^{-d/24}; theta must be exact below q^{steps + 1}."""
     order = _char_order_num(Fraction(-d, 24), steps)
-    chis = [u14_sector_char(j, steps).series for j in range(4)]
-    series = _sum_of_products(group.weight_profile(), chis, order)
+    series = theta * eta_power(-d, Fraction(order, DEN))
     _assert_vacuum(series, d)
     return NetCharacter(series, Fraction(d))
 

@@ -1,9 +1,11 @@
 """Product expansions shared by the series, character and orbifold tests,
-coded independently of framednet.qseries.product_form.
+coded independently of framednet.qseries.product_form, and codes shared by
+the acceptance and fusion tests.
 """
 
 import math
 
+from framednet.codes import BinaryCode
 from framednet.qseries import DEN, QSeries
 
 
@@ -42,3 +44,12 @@ def product_oracle(sign, power, half, order_num):
     exps = range(1 if half else 2, n2_max + 1, 2)
     coeffs = binomial_product_coeffs(sign, power, exps, n2_max)
     return QSeries({n2 * (DEN // 2): c for n2, c in coeffs.items()}, order_num)
+
+
+def _d16_plus():
+    """d16+: the blocks 1111 at pair offsets 0-12 and the glue 0101...01.
+
+    The Milnor partner of h8+h8: the same weight enumerator, so the same
+    characters, but a different pair profile."""
+    rows = [[1 if 2 * i <= j < 2 * i + 4 else 0 for j in range(16)] for i in range(7)]
+    return BinaryCode(16, rows + [[0, 1] * 8])

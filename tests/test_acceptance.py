@@ -17,10 +17,10 @@ from itertools import combinations
 import pytest
 
 from framednet.codes import BinaryCode, builtin_code
-from framednet.netchar import _char_order_num, frame_char, theta_over_eta, theta_series
+from framednet.netchar import _over_eta, frame_char, theta_over_eta, theta_series
 from framednet.orbifold import orbifold_vacuum_char
-from framednet.qseries import QSeries, eta_power
 from framednet.selftest import CRITERIA, LEECH_EXPANSION, MOONSHINE_EXPANSION
+from oracles import _d16_plus
 
 
 def _mul(a, b, n):
@@ -105,6 +105,7 @@ def _reed_muller_2_5():
 MODULAR_CODES = {
     "h8": lambda: builtin_code("h8"),
     "h8+h8": lambda: _direct_sum(builtin_code("h8"), builtin_code("h8")),
+    "d16+": _d16_plus,
     "golay24": lambda: builtin_code("golay24"),
     "rm25": _reed_muller_2_5,
 }
@@ -112,13 +113,10 @@ MODULAR_CODES = {
 
 def _theta_over_eta_by_full_sum(code, variant, steps):
     """Theta / eta^d with Theta summed over the weight enumerator to full
-    order, cut as theta_over_eta cuts it: the theta route as it was before
-    the modular completion.  Defined for codes that are not self-dual,
-    which the theta route refuses."""
-    d = code.length
-    bound = Fraction(steps + 1)
-    series = theta_series(code, variant, bound) * eta_power(-d, Fraction(-d, 24) + bound)
-    return QSeries(series.terms, min(series.order, _char_order_num(Fraction(-d, 24), steps)))
+    order: the theta route as it was before the modular completion.
+    Defined for codes that are not self-dual, which the theta route
+    refuses."""
+    return _over_eta(theta_series(code, variant, Fraction(steps + 1)), code.length, steps).series
 
 
 # c_1 = (weight-one dimension) - d - [q^1] E4^(d/8); the orbifold of L has

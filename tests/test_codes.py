@@ -512,7 +512,7 @@ class TestDeltaProfile:
         else:
             assert frame == _theta_over_eta_by_full_sum(code, variant, steps=6)
 
-    @pytest.mark.parametrize("steps", [0, 1, 3, 8])
+    @pytest.mark.parametrize("steps", [0, 1, 3, 8, 60])
     @pytest.mark.parametrize("variant", ["L", "Ltilde"])
     @pytest.mark.parametrize(
         "make",

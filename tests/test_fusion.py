@@ -41,6 +41,7 @@ from framednet.fusion import (
 )
 from framednet.netchar import frame_char, theta_over_eta
 from framednet.orbifold import orbifold_vacuum_char
+from oracles import _d16_plus
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -735,12 +736,6 @@ def _h8_squared():
     rows = [list(g) + [0] * 8 for g in h8.generators]
     rows += [[0] * 8 + list(g) for g in h8.generators]
     return BinaryCode(16, rows)
-
-
-def _d16_plus():
-    """d16+: the blocks 1111 at pair offsets 0-12 and the glue 0101...01."""
-    rows = [[1 if 2 * i <= j < 2 * i + 4 else 0 for j in range(16)] for i in range(7)]
-    return BinaryCode(16, rows + [[0, 1] * 8])
 
 
 def _span(rows):

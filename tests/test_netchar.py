@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framednet.netchar as netchar
-from framednet.codes import CodeError, builtin_code, builtin_delta
+from framednet.codes import CodeError, builtin_code, builtin_delta, delta_code
 from framednet.fusion import emit_branching_graph, orbifold_census
 from framednet.netchar import (
     NetCharacter,
@@ -195,6 +195,30 @@ class TestThetaRoutes:
         ch = lattice_net_char(builtin_delta("h8", "L"), steps=4)
         for n in ch.series.terms:
             assert (n + 8 * DEN // 24) % DEN == 0
+
+    def test_code_sums_divide_once_by_eta(self, monkeypatch):
+        # a code-summed character is one theta sum over the code divided
+        # once by eta^d: it builds no sector character chi_j = theta_j / eta
+        etas = []
+        real_eta = netchar.eta_power
+
+        def no_sector(j, steps=5):
+            raise AssertionError(f"u14_sector_char({j}, {steps}) called")
+
+        def eta_spy(k, order):
+            etas.append(k)
+            return real_eta(k, order)
+
+        monkeypatch.setattr(netchar, "u14_sector_char", no_sector)
+        monkeypatch.setattr(netchar, "eta_power", eta_spy)
+        golay, h8 = builtin_code("golay24"), builtin_code("h8")
+        for variant in ("L", "Ltilde"):
+            frame_char(golay, variant, 150)
+            assert etas == [-24], (variant, etas)
+            etas.clear()
+            lattice_net_char(delta_code(h8, variant), 30)
+            assert etas == [-8], (variant, etas)
+            etas.clear()
 
 
 COMPLETION_CODES = {**MODULAR_CODES, "golay24-pairs-permuted": _golay24_pairs_permuted}
