@@ -3,10 +3,10 @@
 Only this module knows how rows are stored: an F2 row is an int, bit i for
 coordinate i, and a Z4 word two such bit planes (lo, hi), symbol lo + 2*hi.
 One reduced row echelon form and one kernel serve every code, and symbol
-tuples appear only at the public edge (`generators`, `codewords()`, `in`,
-the element `non_integral_element` returns).  The Z4 arithmetic of a simple
-current extension, the weight check and the presentation of H-perp / H, is
-done here on planes too.
+tuples appear only at the public edge (`generators`, `in`, the Z4 code's
+`codewords()`, the element `non_integral_element` returns).  The Z4
+arithmetic of a simple current extension, the weight check and the
+presentation of H-perp / H, is done here on planes too.
 
 Each binary code is enumerated once, when it is certified: one Gray-code
 sweep over its words packed as two ints, the bit planes of its even and
@@ -21,9 +21,9 @@ codes and 0-3 for Z4 codes, with ``#`` comments.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations, compress, product
-from operator import add, xor
+from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -137,12 +137,6 @@ class BinaryCode:
     @property
     def dimension(self) -> int:
         return len(self._rows)
-
-    def codewords(self) -> Iterator[Vector]:
-        if 1 << self.dimension > ENUM_LIMIT:
-            raise CodeError("code too large to enumerate")
-        for coeffs in product((0, 1), repeat=self.dimension):
-            yield tuple(_bits(reduce(xor, compress(self._rows.values(), coeffs), 0), self.length))
 
     def __contains__(self, v: Sequence[int]) -> bool:
         binary = len(v) == self.length and set(v) <= {0, 1}
@@ -310,14 +304,11 @@ def builtin_code(name: str) -> BinaryCode:
     return code
 
 
-def load_code(spec: str, text: Optional[str] = None) -> BinaryCode:
-    """Resolve ``builtin:<name>`` or a file path to a BinaryCode, parsing
-    `text` in place of the file when the caller has already read it."""
+def load_code(spec: str, text: Optional[str]) -> BinaryCode:
+    """Resolve ``builtin:<name>`` to its BinaryCode, or parse `text`, the
+    caller's reading of the file at path `spec`; no file is opened here."""
     if spec.startswith("builtin:"):
         return builtin_code(spec.split(":", 1)[1])
-    if text is None:
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
     return binary_code_from_text(text)
 
 
@@ -334,7 +325,7 @@ class Z4Code:
     basis row with coefficients in {0,1} hits every codeword exactly once,
     so the cardinality is 2^(number of basis rows).  Rows are bit planes,
     each layer with the mask of its pivots.  Construction, membership, the
-    subcode order `<=` and growing the span (`add`) share one reduction.
+    subcode order `<=` and growing the span share one reduction.
     """
 
     def __init__(self, length: int, generators: Iterable[Sequence[int]]):
@@ -394,10 +385,6 @@ class Z4Code:
         self._twos[p] = hi
         self._two_mask |= p
         return True
-
-    def add(self, v: Sequence[int]) -> bool:
-        """Grow the code by v; False (and no change) if v was in it."""
-        return self._add(*_planes(v))
 
     @property
     def log2_size(self) -> int:
@@ -545,14 +532,7 @@ def sigma2_code(n: int, zero_variant: bool = False) -> Z4Code:
 def _glue(d: int) -> Planes:
     """The extra coset representative of the second lattice construction:
     1 on the even coordinates, and the last pair 32 when d = 8 (mod 16)."""
-    if d % 8 != 0:
-        raise CodeError("length must be a multiple of 8")
     return ((1 << d) - 1) // 3, 0b11 << d - 2 if d % 16 == 8 else 0
-
-
-def glue_vector(d: int) -> Vector:
-    """The extra coset representative as a word."""
-    return _word(*_glue(d), d)
 
 
 def _section(row: int, d: int) -> Planes:

@@ -34,16 +34,14 @@ class NetCharacter(NamedTuple):
     series: QSeries
     central_charge: Fraction
 
-    def leading(self) -> Tuple[Fraction, int]:
-        n = self.series.lowest()
-        return Fraction(n, DEN), self.series.terms[n]
-
     def coeff(self, exponent) -> int:
         return self.series.coeff(exponent)
 
 
 def _char_order_num(lowest: Fraction, steps: int) -> int:
     # keep exponents up to `steps` integer q-steps above the leading term
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     return to_num(lowest) + steps * DEN + 1
 
 
@@ -148,11 +146,12 @@ def frame_char(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
     rank-two lattice of a pair split into its two Ising factors: s = 1 for
     L, and Ltilde, which keeps the even (22)-counts of each coset, takes
     the mean over s = 1, -1.  The cosets are v = codes._section(c) for every
-    codeword c, and for Ltilde also v + glue_vector(d).  As theta_3 = theta_1,
-    a pair 00 of c gives theta_0^2 + s theta_2^2, a pair 11
-    (1 + s) theta_0 theta_2 and a pair 10 or 01 (1 + s) theta_1^2, so c
-    counts only through its pair weights (n11, m) (codes.PairProfile), and
-    at s = -1 only c = 0 is left.  Shifted by the glue's pair 10, a pair 00
+    codeword c, and for Ltilde also v plus the glue word, 1 on the even
+    coordinates and the last pair 32 when d = 8 (mod 16).  As
+    theta_3 = theta_1, a pair 00 of c gives theta_0^2 + s theta_2^2, a
+    pair 11 (1 + s) theta_0 theta_2 and a pair 10 or 01 (1 + s) theta_1^2,
+    so c counts only through its pair weights (n11, m) (codes.PairProfile),
+    and at s = -1 only c = 0 is left.  Shifted by the glue's pair 10, a pair 00
     or 11 of c gives theta_1 (theta_0 + s theta_2) and a pair 10 or 01 s
     times that, where m is even as c is doubly even; when d = 8 (mod 16)
     the glue's last pair, 32, multiplies its pair's term by s once more.

@@ -29,9 +29,6 @@ class OrbifoldPieces(NamedTuple):
     z3: NetCharacter
     z4: NetCharacter
 
-    def twisted_ground_weight(self) -> Fraction:
-        return Fraction(self.d, 16)
-
 
 def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldPieces:
     """Compute Z1..Z4 for the lattice built from `code`.

@@ -68,9 +68,6 @@ class QSeries:
             raise ValueError(f"exponent {Fraction(n, DEN)} beyond order {Fraction(self.order, DEN)}")
         return self.terms.get(n, 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def items(self):
         return sorted(self.terms.items())
 

@@ -1,11 +1,13 @@
 """Product expansions shared by the series, character and orbifold tests,
-coded independently of framednet.qseries.product_form, and codes shared by
-the acceptance and fusion tests.
+coded independently of framednet.qseries.product_form; codewords and the
+glue word built from their definitions, independently of framednet.codes;
+and codes shared by the acceptance and fusion tests.
 """
 
 import math
+from fractions import Fraction
 
-from framednet.codes import BinaryCode
+from framednet.codes import BinaryCode, builtin_code
 from framednet.qseries import DEN, QSeries
 
 
@@ -46,10 +48,67 @@ def product_oracle(sign, power, half, order_num):
     return QSeries({n2 * (DEN // 2): c for n2, c in coeffs.items()}, order_num)
 
 
-def _d16_plus():
-    """d16+: the blocks 1111 at pair offsets 0-12 and the glue 0101...01.
+def leading(ch):
+    """The lowest exponent of a character's series and its coefficient."""
+    n = ch.series.lowest()
+    return Fraction(n, DEN), ch.series.terms[n]
 
-    The Milnor partner of h8+h8: the same weight enumerator, so the same
-    characters, but a different pair profile."""
-    rows = [[1 if 2 * i <= j < 2 * i + 4 else 0 for j in range(16)] for i in range(7)]
-    return BinaryCode(16, rows + [[0, 1] * 8])
+
+def binary_codewords(code):
+    """Every word of a binary code as a symbol tuple: the sums mod 2 of
+    every subset of code.generators, one generator doubling the list."""
+    words = [(0,) * code.length]
+    for g in code.generators:
+        words += [tuple(a ^ b for a, b in zip(w, g)) for w in words]
+    return words
+
+
+def glue_word(d):
+    """The extra coset representative of the second lattice construction:
+    1 on the even coordinates, and the last pair 3 2 when d = 8 (mod 16)."""
+    word = [1, 0] * (d // 2)
+    if d % 16 == 8:
+        word[-2:] = [3, 2]
+    return tuple(word)
+
+
+def _direct_sum(*parts):
+    """The direct sum of binary codes, in this order."""
+    rows, offset, d = [], 0, sum(c.length for c in parts)
+    for c in parts:
+        rows += [[0] * offset + list(g) + [0] * (d - offset - c.length) for g in c.generators]
+        offset += c.length
+    return BinaryCode(d, rows)
+
+
+def _d_plus(d):
+    """d_d+: the blocks 1111 at the even offsets 0 .. d - 4 and the glue
+    0101...01."""
+    rows = [[1 if 2 * i <= j < 2 * i + 4 else 0 for j in range(d)] for i in range(d // 2 - 1)]
+    return BinaryCode(d, rows + [[0, 1] * (d // 2)])
+
+
+def _d16_plus():
+    """d16+, the Milnor partner of h8+h8: the same weight enumerator, so the
+    same characters, but a different pair profile."""
+    return _d_plus(16)
+
+
+def _h8_squared():
+    h8 = builtin_code("h8")
+    return _direct_sum(h8, h8)
+
+
+def _h8_cubed():
+    h8 = builtin_code("h8")
+    return _direct_sum(h8, h8, h8)
+
+
+def _h8_plus_d16_plus():
+    """The Milnor partner of h8+h8+h8, as d16+ is of h8+h8."""
+    return _direct_sum(builtin_code("h8"), _d16_plus())
+
+
+def _d24_plus():
+    """d24+: the blocks 1111 at pair offsets 0-20 and the glue 0101...01."""
+    return _d_plus(24)

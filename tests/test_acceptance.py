@@ -20,7 +20,7 @@ from framednet.codes import BinaryCode, builtin_code
 from framednet.netchar import _over_eta, frame_char, theta_over_eta, theta_series
 from framednet.orbifold import orbifold_vacuum_char
 from framednet.selftest import CRITERIA, LEECH_EXPANSION, MOONSHINE_EXPANSION
-from oracles import _d16_plus
+from oracles import _d16_plus, _h8_squared
 
 
 def _mul(a, b, n):
@@ -89,12 +89,6 @@ def _modular_form_coefficients(series, d):
     return cs
 
 
-def _direct_sum(code, other):
-    rows = [list(g) + [0] * other.length for g in code.generators]
-    rows += [[0] * code.length + list(g) for g in other.generators]
-    return BinaryCode(code.length + other.length, rows)
-
-
 def _reed_muller_2_5():
     """RM(2, 5): the monomials of degree <= 2 in 5 variables on F2^5."""
     points = [[(x >> i) & 1 for i in range(5)] for x in range(32)]
@@ -104,7 +98,7 @@ def _reed_muller_2_5():
 
 MODULAR_CODES = {
     "h8": lambda: builtin_code("h8"),
-    "h8+h8": lambda: _direct_sum(builtin_code("h8"), builtin_code("h8")),
+    "h8+h8": _h8_squared,
     "d16+": _d16_plus,
     "golay24": lambda: builtin_code("golay24"),
     "rm25": _reed_muller_2_5,

@@ -27,7 +27,6 @@ from framednet.codes import (
     builtin_code,
     builtin_delta,
     delta_code,
-    glue_vector,
     load_code,
     sigma2_code,
     validate_binary_code,
@@ -35,6 +34,7 @@ from framednet.codes import (
     z4_dual_code,
 )
 from framednet.netchar import frame_char, lattice_net_char, theta_over_eta
+from oracles import _direct_sum, _h8_squared, binary_codewords, glue_word
 from test_acceptance import _reed_muller_2_5, _theta_over_eta_by_full_sum
 
 
@@ -126,7 +126,7 @@ class TestBinaryCodes:
         h8 = builtin_code("h8")
         dual = dual_binary_code(h8)
         assert len(dual) * len(h8) == 2 ** 8
-        assert all(w in h8 for w in dual.codewords())  # self-dual
+        assert all(w in h8 for w in binary_codewords(dual))  # self-dual
 
     def test_weight_enumerator_via_dual_transform(self):
         # the even-weight code of length 10 from its dual, the repetition code
@@ -153,14 +153,16 @@ class TestBinaryCodes:
         assert code.length == 8 and code.dimension == 1
 
     def test_load_builtin_and_unknown(self):
-        assert load_code("builtin:h8").length == 8
+        assert load_code("builtin:h8", None).length == 8
         with pytest.raises(CodeError):
-            load_code("builtin:nope")
+            load_code("builtin:nope", None)
 
     def test_load_from_file(self, tmp_path):
+        # the text stands for the file: a path that does not exist is not opened
         path = tmp_path / "c.txt"
         path.write_text("11110000\n00001111\n")
-        assert load_code(str(path)).dimension == 2
+        assert load_code(str(path), path.read_text()).dimension == 2
+        assert load_code(str(tmp_path / "missing.txt"), "11110000\n").dimension == 1
 
     def test_membership(self):
         h8 = builtin_code("h8")
@@ -181,7 +183,7 @@ class TestSweep:
             rows.append([a ^ b for a, b in zip(rows[0], rows[1])])
         code = BinaryCode(n, rows)
         report = validate_binary_code(code)
-        assert report.weight_enumerator == dict(Counter(sum(w) for w in code.codewords()))
+        assert report.weight_enumerator == dict(Counter(sum(w) for w in binary_codewords(code)))
         assert report.pair_profile == _enumerated_pair_profile(code)
         # the sweep of the dual against the MacWilliams transform of this one
         assert sweep_weights(dual_binary_code(code)) == macwilliams_dual_weights(code)
@@ -191,7 +193,7 @@ def _enumerated_pair_profile(code):
     """The sweep's key (n11, n10 + n01) of every codeword, counted from
     tuples; an odd length's lone last coordinate pairs with a 0."""
     profile = Counter()
-    for w in code.codewords():
+    for w in binary_codewords(code):
         w = w + (0,) * (len(w) % 2)
         pairs = Counter(zip(w[0::2], w[1::2]))
         profile[pairs[1, 1], pairs[1, 0] + pairs[0, 1]] += 1
@@ -228,7 +230,7 @@ class TestHatMap:
     def test_additive_up_to_sigma2_on_h8(self):
         h8 = builtin_code("h8")
         sigma = sigma2_code(4)
-        words = list(h8.codewords())
+        words = binary_codewords(h8)
         for c1 in words:
             for c2 in words:
                 s = tuple(a ^ b for a, b in zip(c1, c2))
@@ -267,13 +269,21 @@ class TestDeltaCodes:
             assert len(builtin_delta("golay24", variant)) == 2 ** 24
 
     def test_glue_vector_branches(self):
-        assert glue_vector(16) == tuple([1, 0] * 8)
-        assert glue_vector(24) == tuple([1, 0] * 11 + [3, 2])
-        with pytest.raises(CodeError):
-            glue_vector(12)
+        # the glue word of both branches of d mod 16 is in the Ltilde code
+        # and not in L, and a length that is no multiple of 8 is refused
+        for code in (builtin_code("h8"), _h8_squared()):
+            glue = glue_word(code.length)
+            assert glue in delta_code(code, "Ltilde")
+            assert glue not in delta_code(code, "L")
+        assert glue_word(16) == tuple([1, 0] * 8)
+        assert glue_word(24) == tuple([1, 0] * 11 + [3, 2])
+        blocks12 = BinaryCode(12, [[1 if 4 * i <= j < 4 * i + 4 else 0 for j in range(12)]
+                                   for i in range(3)])
+        with pytest.raises(CodeError, match="multiple of 8"):
+            delta_code(blocks12, "Ltilde")
 
     def test_glue_vector_in_golay_ltilde(self):
-        assert glue_vector(24) in builtin_delta("golay24", "Ltilde")
+        assert glue_word(24) in builtin_delta("golay24", "Ltilde")
 
     def test_sigma2_contained_in_delta(self):
         delta = builtin_delta("h8", "L")
@@ -346,11 +356,11 @@ def _enumerated_pair_types(code, variant):
     """Cosets of delta_code(code, variant) modulo {(00),(22)}^{d/2} counted
     by their sorted coordinate pairs, each key a sorted ((a, b), count),
     by listing every codeword: its _SECTION v, and for Ltilde also
-    v + glue_vector(d)."""
+    v + glue_word(d)."""
     d = code.length
-    shifts = [(0,) * d] + ([glue_vector(d)] if variant == "Ltilde" else [])
+    shifts = [(0,) * d] + ([glue_word(d)] if variant == "Ltilde" else [])
     census = Counter()
-    for c in code.codewords():
+    for c in binary_codewords(code):
         v = [s for pair in zip(c[0::2], c[1::2]) for s in _SECTION[pair]]
         for shift in shifts:
             w = [(a + b) % 4 for a, b in zip(v, shift)]
@@ -458,23 +468,12 @@ def _golay24_pairs_permuted():
     return _pairs_permuted(builtin_code("golay24"), [(5 * i + 3) % 12 for i in range(12)])
 
 
-def _h8_plus(rows8):
-    """Direct sum of h8 and the length-8 code spanned by `rows8`."""
-    rows = [list(g) + [0] * 8 for g in builtin_code("h8").generators]
-    rows += [[0] * 8 + list(g) for g in rows8]
-    return BinaryCode(16, rows)
-
-
-def _h8_squared():
-    return _h8_plus(builtin_code("h8").generators)
-
-
 def _ones8():
     return BinaryCode(8, [[1] * 8])
 
 
 def _h8_plus_ones8():
-    return _h8_plus([[1] * 8])
+    return _direct_sum(builtin_code("h8"), _ones8())
 
 
 class TestDeltaProfile:
@@ -738,6 +737,7 @@ class TestPackedRows:
         words = list(product(range(4), repeat=d))
         assert [w in code for w in words] == [w in span for w in words]
         assert (extra in code) == (mod4[-1] in span)
-        assert code.add(extra) == (mod4[-1] not in span)
-        assert set(code.codewords()) == _z4_span(d, mod4)
+        grown = Z4Code(d, [*gens, extra])
+        assert set(grown.codewords()) == _z4_span(d, mod4)
         assert code.generators == tuple(mod4[:-1])
+        assert grown.generators == tuple(mod4)

@@ -41,7 +41,7 @@ from framednet.fusion import (
 )
 from framednet.netchar import frame_char, theta_over_eta
 from framednet.orbifold import orbifold_vacuum_char
-from oracles import _d16_plus
+from oracles import _d16_plus, _d24_plus, _h8_cubed, _h8_plus_d16_plus, _h8_squared
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -148,11 +148,14 @@ def _quotient_basis(H: Z4Code, dual: Z4Code) -> List[Tuple[Element, int]]:
     span = Z4Code(H.length, H.generators)
     basis: List[Tuple[Element, int]] = []
     for x in dual.generators:
-        if span.add([2 * a for a in x]):
+        double = tuple(2 * a % 4 for a in x)
+        if double not in span:
+            span = Z4Code(H.length, [*span.generators, double])
             basis.append((x, 4))
     two_torsion = z4_dual_code(span)
     for y in two_torsion.generators:
-        if span.add(y):
+        if y not in span:
+            span = Z4Code(H.length, [*span.generators, y])
             basis.append((y, 2))
     if sum(2 if o == 4 else 1 for _, o in basis) != dual.log2_size - H.log2_size:
         raise FusionError("quotient generators do not present H-perp / H")
@@ -731,13 +734,6 @@ def _permuted(code, perm):
     return BinaryCode(code.length, rows)
 
 
-def _h8_squared():
-    h8 = builtin_code("h8")
-    rows = [list(g) + [0] * 8 for g in h8.generators]
-    rows += [[0] * 8 + list(g) for g in h8.generators]
-    return BinaryCode(16, rows)
-
-
 def _span(rows):
     """Every nonzero vector of the F2 row space of `rows`."""
     span = {tuple(0 for _ in rows[0])} if rows else set()
@@ -798,6 +794,32 @@ class TestFramedFromCode:
             assert char(pair[0], variant, 8) == char(pair[1], variant, 8), char.__name__
         framed = [framed_from_code(delta_code(c, variant)) for c in pair]
         assert [(fs.num_factors, fs.k, fs.l) for fs in framed] == [(32, *kl) for kl in kls]
+
+    @pytest.mark.parametrize(
+        "variant, kls",
+        [("L", [(45, 3), (46, 2), (47, 1)]), ("Ltilde", [(44, 4), (45, 3), (46, 2)])],
+    )
+    def test_rank24_codes_characters_cannot_tell_apart(self, variant, kls):
+        # the q^0 coefficient of each character counts weight-one states:
+        # 24 plus the 48 + 16 A_4 roots for L, 24 + 8 A_4 for Ltilde and
+        # for the orbifold of L, and 4 A_4 for the orbifold of Ltilde
+        golay, h8_cubed, h8_d16, d24 = (
+            builtin_code("golay24"), _h8_cubed(), _h8_plus_d16_plus(), _d24_plus()
+        )
+        for code, a4 in ((golay, 0), (h8_cubed, 42), (h8_d16, 42), (d24, 66)):
+            assert codes.check_holomorphic_hypotheses(code).weight_enumerator.get(4, 0) == a4
+            ch = frame_char(code, variant, 3)
+            assert ch == theta_over_eta(code, variant, 3)
+            orbifold = orbifold_vacuum_char(code, variant, 3)
+            if variant == "L":
+                assert (ch.coeff(0), orbifold.coeff(0)) == (72 + 16 * a4, 24 + 8 * a4)
+            else:
+                assert (ch.coeff(0), orbifold.coeff(0)) == (24 + 8 * a4, 4 * a4)
+        # the Milnor pair h8+h8+h8 and h8+d16+: equal characters, unequal (k, l)
+        for char in (theta_over_eta, orbifold_vacuum_char):
+            assert char(h8_cubed, variant, 8) == char(h8_d16, variant, 8), char.__name__
+        framed = [framed_from_code(delta_code(c, variant)) for c in (h8_cubed, h8_d16, d24)]
+        assert [(fs.num_factors, fs.k, fs.l) for fs in framed] == [(48, *kl) for kl in kls]
 
     @pytest.mark.parametrize("variant, kl", [("L", (37, 11)), ("Ltilde", (36, 12))])
     def test_golay24(self, variant, kl):

@@ -29,9 +29,9 @@ from framednet.netchar import (
     theta_series,
     u14_sector_char,
 )
-from framednet.orbifold import orbifold_pieces
+from framednet.orbifold import orbifold_pieces, orbifold_vacuum_char
 from framednet.qseries import DEN, QSeries, to_num
-from oracles import product_oracle
+from oracles import binary_codewords, leading, product_oracle
 from test_acceptance import MODULAR_CODES, _theta_over_eta_by_full_sum
 from test_codes import _golay24_pairs_permuted, _h8_plus_ones8, _ones8
 
@@ -55,7 +55,7 @@ def distinct_part_counts(n2_max, parts, signed):
 class TestIsingChars:
     def test_weight_half_leading_term(self):
         ch = ising_char(HALF)
-        e, c = ch.leading()
+        e, c = leading(ch)
         assert e == Fraction(23, 48) and c == 1
 
     def test_vacuum_expansion_oracle(self):
@@ -110,10 +110,10 @@ class TestIsingChars:
 
 class TestU14Chars:
     def test_leading_terms(self):
-        assert u14_sector_char(0).leading() == (Fraction(-1, 24), 1)
-        assert u14_sector_char(1).leading() == (Fraction(1, 8) - Fraction(1, 24), 1)
-        assert u14_sector_char(2).leading() == (HALF - Fraction(1, 24), 2)
-        assert u14_sector_char(3).leading() == (Fraction(1, 8) - Fraction(1, 24), 1)
+        assert leading(u14_sector_char(0)) == (Fraction(-1, 24), 1)
+        assert leading(u14_sector_char(1)) == (Fraction(1, 8) - Fraction(1, 24), 1)
+        assert leading(u14_sector_char(2)) == (HALF - Fraction(1, 24), 2)
+        assert leading(u14_sector_char(3)) == (Fraction(1, 8) - Fraction(1, 24), 1)
 
     def test_j1_equals_j3(self):
         a = u14_sector_char(1, 8).series
@@ -146,7 +146,7 @@ def e8_theta_oracle(norm2_max):
         for v in sorted(vals):
             rec2(i + 1, c, acc + v * v)
 
-    for c in builtin_code("h8").codewords():
+    for c in binary_codewords(builtin_code("h8")):
         rec2(0, c, 0)
     # acc is sum m_i^2 = 4 * exponent; return map exponent*4 -> count
     return counts
@@ -188,7 +188,7 @@ class TestThetaRoutes:
     def test_vacuum_normalization(self):
         for variant in ("L", "Ltilde"):
             ch = lattice_net_char(builtin_delta("h8", variant), steps=3)
-            assert ch.leading() == (Fraction(-8, 24), 1)
+            assert leading(ch) == (Fraction(-8, 24), 1)
             assert all(c >= 0 for c in ch.series.terms.values())
 
     def test_integer_exponent_support(self):
@@ -219,6 +219,27 @@ class TestThetaRoutes:
             lattice_net_char(delta_code(h8, variant), 30)
             assert etas == [-8], (variant, etas)
             etas.clear()
+
+
+@pytest.mark.parametrize(
+    "char",
+    [
+        lambda steps: frame_char(builtin_code("h8"), "L", steps),
+        lambda steps: theta_over_eta(builtin_code("h8"), "L", steps),
+        lambda steps: orbifold_pieces(builtin_code("h8"), "L", steps),
+        lambda steps: orbifold_vacuum_char(builtin_code("h8"), "L", steps),
+        lambda steps: ising_char(0, steps),
+        lambda steps: u14_sector_char(0, steps),
+    ],
+    ids=["frame_char", "theta_over_eta", "orbifold_pieces", "orbifold_vacuum_char",
+         "ising_char", "u14_sector_char"],
+)
+def test_negative_steps_refused(char):
+    # each entry point keeps exponents `steps` q-steps above its leading
+    # term, so a negative count is bad input, not a failed normalization
+    # or an empty series
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        char(-1)
 
 
 COMPLETION_CODES = {**MODULAR_CODES, "golay24-pairs-permuted": _golay24_pairs_permuted}

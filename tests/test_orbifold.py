@@ -24,7 +24,7 @@ from framednet.orbifold import (
     vacuum_char_from_pieces,
 )
 from framednet.qseries import DEN, QSeries, to_num
-from oracles import product_oracle
+from oracles import leading, product_oracle
 from test_acceptance import MODULAR_CODES
 
 GOLAY = builtin_code("golay24")
@@ -44,8 +44,9 @@ class TestPieces:
 
     def test_z3_golay_leading(self):
         p = orbifold_pieces(GOLAY, "Ltilde", steps=4)
-        assert p.twisted_ground_weight() == Fraction(3, 2)
-        assert p.z3.leading() == (Fraction(1, 2), 4096)
+        # the twisted ground state has weight d/16 = 3/2, so Z3 starts at 3/2 - d/24
+        assert leading(p.z3) == (Fraction(p.d, 16) - Fraction(p.d, 24), 4096)
+        assert leading(p.z3) == (Fraction(1, 2), 4096)
         got = [p.z3.coeff(Fraction(1, 2) + Fraction(k, 2)) for k in range(3)]
         assert got == [4096, 98304, 1228800]
 
@@ -67,13 +68,14 @@ class TestPieces:
 
     def test_h8_twisted_ground(self):
         p = orbifold_pieces(H8, "L", steps=4)
-        assert p.twisted_ground_weight() == Fraction(1, 2)
-        assert p.z3.leading() == (Fraction(1, 6), 16)
-        assert p.z4.leading() == (Fraction(1, 6), 16)
+        # weight d/16 = 1/2, less d/24
+        assert leading(p.z3) == (Fraction(p.d, 16) - Fraction(p.d, 24), 16)
+        assert leading(p.z3) == (Fraction(1, 6), 16)
+        assert leading(p.z4) == (Fraction(1, 6), 16)
 
     def test_vacuum_normalization_enforced(self):
         ch = orbifold_vacuum_char(H8, "L", steps=3)
-        assert ch.leading() == (Fraction(-1, 3), 1)
+        assert leading(ch) == (Fraction(-1, 3), 1)
 
     def test_negative_vacuum_coefficient_refused(self):
         # beta1 doubled and negated: q^1 gets 98580 - 2 * 98304 < 0, and the
@@ -152,10 +154,10 @@ class TestSectors:
         # integer weight and order 2, and extending by it leaves
         # mu = 4 / 2^2 = 1, the vacuum sector alone
         chars = fixed_point_sector_chars(orbifold_pieces(GOLAY, "Ltilde", steps=4))
-        leading = [ch.leading() for ch in chars]
-        weights = [e + Fraction(GOLAY.length, 24) for e, _ in leading]
+        lowest = [leading(ch) for ch in chars]
+        weights = [e + Fraction(GOLAY.length, 24) for e, _ in lowest]
         assert weights == [0, 1, 2, Fraction(3, 2)]
-        assert [m for _, m in leading] == [1, 24, 98304, 4096]
+        assert [m for _, m in lowest] == [1, 24, 98304, 4096]
         assert fusion_group_disambiguation(weights) == "Z2xZ2"
         mu, beta1 = len(chars), weights[2]
         assert beta1.denominator == 1
@@ -211,7 +213,7 @@ class TestParitySplit:
         total = integer.series + half.series
         assert total.first_difference(ch.series) is None
         # a lattice-net character has only integer weights
-        assert half.series.is_zero()
+        assert half.series == QSeries.zero(ch.series.order)
 
     def test_split_separates_twisted_sector(self):
         p = orbifold_pieces(GOLAY, "Ltilde", steps=4)

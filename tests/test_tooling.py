@@ -85,3 +85,57 @@ def test_uses_only_public_code_surface(module):
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
     ]
     assert found == []
+
+
+def _public_definitions(tree):
+    """(name, node) of every public top-level function or class of a module,
+    and every public method of those classes as Class.method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _references(tree):
+    """(name, lineno) of every name read in a module: ast.Name ids,
+    ast.Attribute attributes and the names a from-import binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_every_public_name_has_a_caller():
+    """Each public function, class and method in src/framednet is named in
+    src outside its own definition, or perfbench names it (its traced
+    functions and methods and what test_perfbench.py reads).  So the
+    library keeps no surface that only the tests reach.
+
+    The match is by name alone: a method counts as called when any
+    attribute of that name is read anywhere, so it cannot catch a member
+    that shares its name with another one, as Z4Code.add does set.add.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    references = {
+        module: list(_references(tree)) for module, tree in trees.items()
+    }
+    pinned = {(m, n) for m, n in TRACED.FUNCTIONS} | set(_perfbench_test_names())
+    pinned |= {(m, f"{cls}.{method}") for m, cls, method, _ in TRACED.METHODS}
+    uncalled = []
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            called = any(
+                ref == name and (other != module or not node.lineno <= line <= node.end_lineno)
+                for other, refs in references.items()
+                for ref, line in refs
+            )
+            if not called and (module, qualname) not in pinned:
+                uncalled.append(f"{module}.{qualname}")
+    assert uncalled == []
