@@ -38,10 +38,10 @@ GRAPH_D_LIMIT = 8
 # 4300 digits (its default limit) to text; 4^(d+1) has at most 4300 digits
 # up to this d.
 POWER_D_LIMIT = 7141
-# extend's time grows with the generators of H and of its two duals: at
-# d = 1600, one generator 22 0...0 took 0.10 s and 18 MB, and 799 generators
-# 2222 on four adjacent coordinates 1.5 s and 27 MB (fresh process, 2-core
-# Xeon, Python 3.11.7).
+# extend's time grows with the generators of H and of its dual: at
+# d = 1600, one generator 22 0...0 took 0.09 s and 17 MB, and 799 generators
+# 2222 on four adjacent coordinates 0.60 s and 27 MB (fresh process, median
+# of 3, 2-core Xeon, Python 3.11.7).
 EXTEND_D_LIMIT = 1600
 # a series' cost grows about as order^2: at order 1000, golay24/Ltilde
 # `char --route both` took 12 s (20 MB), of which the code route is most,

@@ -3,10 +3,10 @@
 Only this module knows how rows are stored: an F2 row is an int, bit i for
 coordinate i, and a Z4 word two such bit planes (lo, hi), symbol lo + 2*hi.
 One reduced row echelon form and one kernel serve every code, and symbol
-tuples appear only at the public edge (`generators`, `in`, the Z4 code's
-`codewords()`, the element `non_integral_element` returns).  The Z4
-arithmetic of a simple current extension, the weight check and the
-presentation of H-perp / H, is done here on planes too.
+tuples appear only at the public edge (a binary code's `generators`,
+`in`, the Z4 code's `codewords()`, the element `non_integral_element`
+returns).  The Z4 arithmetic of a simple current extension, the weight
+check and the orders of H-perp / H, is done here on planes too.
 
 Each binary code is enumerated once, when it is certified: one Gray-code
 sweep over its words packed as two ints, the bit planes of its even and
@@ -21,7 +21,7 @@ codes and 0-3 for Z4 codes, with ``#`` comments.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, compress, product
 from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -350,10 +350,6 @@ class Z4Code:
             code._add(lo, hi)
         return code
 
-    @cached_property
-    def generators(self) -> Tuple[Vector, ...]:
-        return tuple(_word(lo, hi, self.length) for lo, hi in self._gens)
-
     # -- basis ---------------------------------------------------------
 
     def _reduce(self, lo: int, hi: int) -> Planes:
@@ -484,35 +480,17 @@ def non_integral_element(H: Z4Code) -> Optional[Vector]:
     return None
 
 
-def quotient_basis(H: Z4Code, dual: Z4Code) -> Tuple[Tuple[int, ...], List[Planes]]:
-    """Generators of dual / H, presenting it as Z4^a x Z2^b: their orders,
-    and the generators as bit planes in the same order.
+def quotient_orders(H: Z4Code, dual: Z4Code) -> Tuple[int, ...]:
+    """The orders of the cyclic factors of dual / H, as Z4^a x Z2^b.
 
     H is isotropic and dual is H-perp.  The quotient Q is killed by 4, so
-    a = dim 2Q and b = dim Q[2] - dim 2Q.  One span, a copy of H, grows as
-    the generators are found:
-
-    - the order-4 generators are generators x of H-perp whose doubles are
-      independent modulo the span; those doubles span 2Q;
-    - Q[2] is (H-perp cap B) / H with B = {b : 2b in H}.  Since
-      x.(2y) = (2x).y, x is orthogonal to 2*H-perp iff 2x is in
-      H-perp-perp = H, so B = (2*H-perp)-perp and H-perp cap B =
-      (H + 2*H-perp)-perp, the dual of the span once every double is in.
-      The order-2 generators are generators y of this second dual that
-      are independent modulo the span.
-
-    A relation sum c_i x_i + sum e_j y_j in H forces every c_i even (double
-    it), then every e_j zero and every c_i = 0 mod 4, so the presentation
-    is faithful; 2a + b = log2 |Q| checks that it is onto.  The double of
-    a word (lo, hi) is (0, lo).
+    Q = Z4^a x Z2^b with 2Q = (H + 2*H-perp) / H = Z2^a: a counts the
+    generators of H-perp whose doubles grow a copy of H, and
+    b = log2 |Q| - 2a.  The double of a word (lo, hi) is (0, lo).
     """
     span = Z4Code._from_planes(H.length, H._gens)
-    basis = [(x, 4) for x in dual._gens if span._add(0, x[0])]
-    basis += [(y, 2) for y in z4_dual_code(span)._gens if span._add(*y)]
-    orders = tuple(o for _, o in basis)
-    if sum(o // 2 for o in orders) != dual.log2_size - H.log2_size:
-        raise CodeError("quotient generators do not present H-perp / H")
-    return orders, [x for x, _ in basis]
+    a = sum(span._add(0, lo) for lo, _ in dual._gens)
+    return (4,) * a + (2,) * (dual.log2_size - H.log2_size - 2 * a)
 
 
 def z4_code_from_text(text: str) -> Z4Code:

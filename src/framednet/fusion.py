@@ -10,8 +10,8 @@ the branching graph draws each sector's edges from its label.
 
 The extension of Z4^d by a Z4 code H is bookkeeping over Z4 arithmetic
 that `codes` does on packed rows: the weight check on H's generators and
-their pairs, the isotropy check H <= H-perp, and the presentation of the
-surviving sectors H-perp / H as Z4^a x Z2^b.  Every size is 2^log2_size.
+their pairs, the isotropy check H <= H-perp, and the orders of the
+surviving sectors H-perp / H = Z4^a x Z2^b.  Every size is 2^log2_size.
 No codeword of H or H-perp is listed, and no symbol is summed here.
 """
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .codes import BinaryCode, Z4Code, non_integral_element, quotient_basis, z4_dual_code
+from .codes import BinaryCode, Z4Code, non_integral_element, quotient_orders, z4_dual_code
 
 Element = Tuple[int, ...]
 HALF = Fraction(1, 2)
@@ -60,7 +60,7 @@ def simple_current_extension(H: Z4Code) -> ExtensionResult:
         dual = z4_dual_code(H)
         if not H <= dual:
             raise FusionError("integer-weight subgroup is not isotropic")
-        orders, _ = quotient_basis(H, dual)
+        orders = quotient_orders(H, dual)
     mu_after = Fraction(mu_before, 1 << (2 * H.log2_size))
     return ExtensionResult(offending is None, mu_before, mu_after, orders, offending)
 

@@ -1,12 +1,14 @@
 """Product expansions shared by the series, character and orbifold tests,
 coded independently of framednet.qseries.product_form; codewords and the
 glue word built from their definitions, independently of framednet.codes;
-and codes shared by the acceptance and fusion tests.
+a Z4 code's generators as symbol tuples; and codes shared by the
+acceptance and fusion tests.
 """
 
 import math
 from fractions import Fraction
 
+from framednet import codes
 from framednet.codes import BinaryCode, builtin_code
 from framednet.qseries import DEN, QSeries
 
@@ -61,6 +63,11 @@ def binary_codewords(code):
     for g in code.generators:
         words += [tuple(a ^ b for a, b in zip(w, g)) for w in words]
     return words
+
+
+def z4_generators(code):
+    """The generators a Z4 code was built from, in order, as symbol tuples."""
+    return tuple(codes._word(lo, hi, code.length) for lo, hi in code._gens)
 
 
 def glue_word(d):

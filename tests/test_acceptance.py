@@ -20,7 +20,7 @@ from framednet.codes import BinaryCode, builtin_code
 from framednet.netchar import _over_eta, frame_char, theta_over_eta, theta_series
 from framednet.orbifold import orbifold_vacuum_char
 from framednet.selftest import CRITERIA, LEECH_EXPANSION, MOONSHINE_EXPANSION
-from oracles import _d16_plus, _h8_squared
+from oracles import _d16_plus, _d24_plus, _h8_cubed, _h8_plus_d16_plus, _h8_squared
 
 
 def _mul(a, b, n):
@@ -101,6 +101,9 @@ MODULAR_CODES = {
     "h8+h8": _h8_squared,
     "d16+": _d16_plus,
     "golay24": lambda: builtin_code("golay24"),
+    "h8+h8+h8": _h8_cubed,
+    "h8+d16+": _h8_plus_d16_plus,
+    "d24+": _d24_plus,
     "rm25": _reed_muller_2_5,
 }
 
@@ -114,9 +117,15 @@ def _theta_over_eta_by_full_sum(code, variant, steps):
 
 
 # c_1 = (weight-one dimension) - d - [q^1] E4^(d/8); the orbifold of L has
-# Ltilde's character, and the orbifold of Ltilde has no weight-one state.
+# Ltilde's character.  At rank 24, with A_4 codewords of weight 4, the
+# weight-one dimension is 72 + 16 A_4 for L, 24 + 8 A_4 for Ltilde and the
+# orbifold of L, and 4 A_4 for the orbifold of Ltilde, so c_1 is that less
+# 744; the orbifold of Ltilde has no weight-one state when A_4 = 0.
 MODULAR_C1 = {
     "golay24": {"L": (-672, -720), "Ltilde": (-720, -744)},
+    "h8+h8+h8": {"L": (0, -384), "Ltilde": (-384, -576)},
+    "h8+d16+": {"L": (0, -384), "Ltilde": (-384, -576)},
+    "d24+": {"L": (384, -192), "Ltilde": (-192, -480)},
     "rm25": {"L": (-896, -960), "Ltilde": (-960, -992)},
 }
 

@@ -5,8 +5,9 @@ The pointed systems (a finite abelian group with a weight map), the
 rank-one system, the spin power rule and the Miyamoto sign involutions
 have no caller in the program; they live here as test helpers, and so
 does the integer diagonalization that checks the Z4 duals.  The weight
-check and the quotient presentation on symbol tuples, which `codes` now
-does on bit planes, stay here as their oracles.
+check on symbol tuples, which `codes` now does on bit planes, stays here
+as its oracle, and so does a presentation of H-perp / H by generators,
+whose orders `codes` reads off without building one.
 """
 
 import math
@@ -18,7 +19,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from framednet import codes
+from framednet import codes, fusion
 from framednet.codes import (
     BinaryCode,
     Z4Code,
@@ -26,7 +27,7 @@ from framednet.codes import (
     builtin_delta,
     delta_code,
     non_integral_element,
-    quotient_basis,
+    quotient_orders,
     sigma2_code,
     z4_dual_code,
 )
@@ -41,7 +42,14 @@ from framednet.fusion import (
 )
 from framednet.netchar import frame_char, theta_over_eta
 from framednet.orbifold import orbifold_vacuum_char
-from oracles import _d16_plus, _d24_plus, _h8_cubed, _h8_plus_d16_plus, _h8_squared
+from oracles import (
+    _d16_plus,
+    _d24_plus,
+    _h8_cubed,
+    _h8_plus_d16_plus,
+    _h8_squared,
+    z4_generators,
+)
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -115,7 +123,7 @@ def _non_integral_element(H: Z4Code) -> Optional[Element]:
     pair of them.  For a pair (g, k) of integral generators with
     b(g, k) != 0, g + k is the element.
     """
-    gens = H.generators
+    gens = z4_generators(H)
     for g in gens:
         if sum(a * a for a in g) % 8:
             return g
@@ -145,17 +153,17 @@ def _quotient_basis(H: Z4Code, dual: Z4Code) -> List[Tuple[Element, int]]:
     it), then every e_j zero and every c_i = 0 mod 4, so the presentation
     is faithful; 2a + b = log2 |Q| checks that it is onto.
     """
-    span = Z4Code(H.length, H.generators)
+    span = Z4Code(H.length, z4_generators(H))
     basis: List[Tuple[Element, int]] = []
-    for x in dual.generators:
+    for x in z4_generators(dual):
         double = tuple(2 * a % 4 for a in x)
         if double not in span:
-            span = Z4Code(H.length, [*span.generators, double])
+            span = Z4Code(H.length, [*z4_generators(span), double])
             basis.append((x, 4))
     two_torsion = z4_dual_code(span)
-    for y in two_torsion.generators:
+    for y in z4_generators(two_torsion):
         if y not in span:
-            span = Z4Code(H.length, [*span.generators, y])
+            span = Z4Code(H.length, [*z4_generators(span), y])
             basis.append((y, 2))
     if sum(2 if o == 4 else 1 for _, o in basis) != dual.log2_size - H.log2_size:
         raise FusionError("quotient generators do not present H-perp / H")
@@ -171,12 +179,11 @@ def integral(H: Z4Code) -> bool:
 
 
 def _basis(H: Z4Code) -> List[Tuple[Element, int]]:
-    """The quotient presentation of H-perp / H on planes, checked against
-    the tuple oracle: the same orders and the same elements."""
+    """The tuple oracle's presentation of H-perp / H, whose orders must be
+    the ones quotient_orders reads off the planes."""
     dual = z4_dual_code(H)
-    orders, planes = quotient_basis(H, dual)
-    basis = [(codes._word(lo, hi, H.length), o) for (lo, hi), o in zip(planes, orders)]
-    assert basis == _quotient_basis(H, dual)
+    basis = _quotient_basis(H, dual)
+    assert quotient_orders(H, dual) == tuple(o for _, o in basis)
     return basis
 
 
@@ -306,7 +313,7 @@ class TestExtensions:
 
     def test_offender_of_a_pair_of_integral_generators(self):
         H = Z4Code(16, [(1,) * 8 + (0,) * 8, (0,) * 6 + (1,) * 8 + (0,) * 2])
-        assert all(h(g) == 0 for g in H.generators)
+        assert all(h(g) == 0 for g in z4_generators(H))
         r = simple_current_extension(H)
         assert not r.allowed and r.quotient_orders is None
         assert r.offending in H and h(r.offending) != 0
@@ -315,6 +322,29 @@ class TestExtensions:
         for H in (Z4Code(2, [(2, 2)]), Z4Code(2, [(0, 0)])):
             r = simple_current_extension(H)
             assert r.mu_after * len(H) ** 2 == r.mu_before
+
+    @pytest.mark.parametrize(
+        "subgroup",
+        [
+            lambda: builtin_delta("golay24", "L"),
+            lambda: builtin_delta("golay24", "Ltilde"),
+            lambda: Z4Code(2, [(0, 0)]),
+            lambda: sigma2_code(32, zero_variant=True),
+        ],
+        ids=["golay24-L", "golay24-Ltilde", "trivial", "2222-blocks-32"],
+    )
+    def test_one_dual_per_extension(self, subgroup, monkeypatch):
+        # the quotient's orders need H-perp and nothing more: no second dual
+        H, calls = subgroup(), []
+
+        def spy(code):
+            calls.append(code)
+            return z4_dual_code(code)
+
+        monkeypatch.setattr(fusion, "z4_dual_code", spy)
+        monkeypatch.setattr(codes, "z4_dual_code", spy)
+        assert simple_current_extension(H).allowed
+        assert len(calls) == 1 and calls[0] is H
 
     def test_intermediate_quotient(self):
         # H = <(2,2)> inside Z4^2: index-4 quotient with orders (2,2)
@@ -421,7 +451,7 @@ class TestQuotientAgainstEnumeration:
         dual = z4_dual_code(H)
         orders, reps = _oracle_quotient(H)
         basis = _basis(H)
-        assert tuple(o for _, o in basis) == orders
+        assert tuple(o for _, o in basis) == quotient_orders(H, dual) == orders
         # faithful: the combinations hit distinct cosets, all inside H-perp
         cosets = set()
         weights = Counter()
@@ -493,7 +523,7 @@ def _diagonalize(rows: List[List[int]], d: int) -> Tuple[List[List[int]], List[L
 def _diagonalization_dual(code: Z4Code) -> Z4Code:
     """The Z4 dual by integer diagonalization of the generator matrix."""
     d = code.length
-    s, v = _diagonalize([list(g) for g in code.generators], d)
+    s, v = _diagonalize([list(g) for g in z4_generators(code)], d)
     gens = []
     for i in range(d):
         pivot = s[i][i] if i < len(s) else 0
@@ -522,14 +552,14 @@ class TestDualCodes:
     def test_matches_diagonalization(self, code):
         dual, oracle = z4_dual_code(code), _diagonalization_dual(code)
         assert dual.log2_size == oracle.log2_size == 2 * code.length - code.log2_size
-        assert all(g in oracle for g in dual.generators)
-        assert all(g in dual for g in oracle.generators)
+        assert all(g in oracle for g in z4_generators(dual))
+        assert all(g in dual for g in z4_generators(oracle))
 
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(_z4_codes())
     @example(Z4Code(2, [(2, 2)]))  # isotropic
     def test_subcode_order_reads_isotropy(self, code):
-        gens = code.generators
+        gens = z4_generators(code)
         isotropic = all(sum(a * b for a, b in zip(g, k)) % 4 == 0 for g in gens for k in gens)
         assert code <= code and code <= Z4Code(code.length, [(1,) * code.length, *gens])
         assert (code <= z4_dual_code(code)) is isotropic
@@ -538,8 +568,8 @@ class TestDualCodes:
     def test_dual_pairing_vanishes(self):
         H = builtin_delta("h8", "Ltilde")
         dual = z4_dual_code(H)
-        for g in H.generators:
-            for y in dual.generators:
+        for g in z4_generators(H):
+            for y in z4_generators(dual):
                 assert sum(a * b for a, b in zip(g, y)) % 4 == 0
 
     def test_dual_size_product(self):
@@ -555,7 +585,7 @@ def _pair_failing():
 
 
 class TestAgainstTupleOracles:
-    """The plane versions of the weight check and the quotient presentation
+    """The plane versions of the weight check and the quotient orders
     against the tuple versions, on codes too large to enumerate."""
 
     @settings(deadline=None, derandomize=True, max_examples=300)

@@ -6,6 +6,7 @@ would silently zero a per-layer metric; these tests make it an error.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -119,7 +120,8 @@ def test_every_public_name_has_a_caller():
 
     The match is by name alone: a method counts as called when any
     attribute of that name is read anywhere, so it cannot catch a member
-    that shares its name with another one, as Z4Code.add does set.add.
+    that shares its name with another one: NetCharacter.coeff would pass
+    on QSeries.coeff's callers alone, and the other way round.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     references = {
@@ -139,3 +141,14 @@ def test_every_public_name_has_a_caller():
             if not called and (module, qualname) not in pinned:
                 uncalled.append(f"{module}.{qualname}")
     assert uncalled == []
+
+
+PYPROJECT = SRC.parent.parent / "pyproject.toml"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parses_at_the_declared_python_floor(path):
+    """No module uses syntax newer than pyproject.toml's requires-python."""
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    assert floor, "requires-python not found"
+    ast.parse(path.read_text(), feature_version=tuple(map(int, floor.groups())))
