@@ -40,13 +40,14 @@ GRAPH_D_LIMIT = 8
 POWER_D_LIMIT = 7141
 # extend's time grows with the generators of H and of its dual: at
 # d = 1600, one generator 22 0...0 took 0.09 s and 17 MB, and 799 generators
-# 2222 on four adjacent coordinates 0.60 s and 27 MB (fresh process, median
-# of 3, 2-core Xeon, Python 3.11.7).
+# 2222 on four adjacent coordinates 0.29-0.44 s and 19 MB (fresh process,
+# median of 3, 2-core Xeon, Python 3.11.7).
 EXTEND_D_LIMIT = 1600
 # a series' cost grows about as order^2: at order 1000, golay24/Ltilde
-# `char --route both` took 12 s (20 MB), of which the code route is most,
-# `char --route theta` 2.3 s (17 MB) and `orbifold-char --pieces` 6.4 s
-# (24 MB) (fresh process, median of 3, 2-core Xeon, Python 3.11.7).
+# `char --route both` took 11 s (20 MB), of which the code route is most,
+# `char --route theta` 1.4 s (18 MB), `orbifold-char` 1.5 s (18 MB) and
+# `orbifold-char --pieces` 4.4 s (24 MB) (fresh process, median of 3,
+# 2-core Xeon, Python 3.11.7).
 ORDER_LIMIT = 1000
 
 
@@ -272,18 +273,20 @@ def _cmd_orbifold_char(args) -> int:
     def compute(code) -> dict:
         from . import orbifold
 
+        if not args.pieces:
+            ch = orbifold.orbifold_vacuum_char(code, args.variant, args.order)
+            return ch.series.to_json_dict()
+        # the vacuum is read off the pieces printed anyway: untwisted+ plus beta1
         p = orbifold.orbifold_pieces(code, args.variant, args.order)
-        ch = orbifold.vacuum_char_from_pieces(p)
-        doc = ch.series.to_json_dict()
-        if args.pieces:
-            sectors = orbifold.fixed_point_sector_chars(p)
-            doc["pieces"] = {
-                z.upper(): getattr(p, z).series.to_json_dict() for z in ("z1", "z2", "z3", "z4")
-            }
-            doc["sectors"] = {
-                name: s.series.to_json_dict()
-                for name, s in zip(("untwisted+", "untwisted-", "beta1", "beta2"), sectors)
-            }
+        doc = orbifold.vacuum_char_from_pieces(p).series.to_json_dict()
+        sectors = orbifold.fixed_point_sector_chars(p)
+        doc["pieces"] = {
+            z.upper(): getattr(p, z).series.to_json_dict() for z in ("z1", "z2", "z3", "z4")
+        }
+        doc["sectors"] = {
+            name: s.series.to_json_dict()
+            for name, s in zip(("untwisted+", "untwisted-", "beta1", "beta2"), sectors)
+        }
         return doc
 
     _emit(_cached(args, args.code, request, compute), args.json, args.csv)

@@ -49,6 +49,8 @@ _HI = bytes(b"01"[s >> 1 & 1] for s in range(256))
 # ASCII digits -> symbols 0/1 or 0/2
 _ONES = bytes.maketrans(b"01", b"\x00\x01")
 _TWOS = bytes.maketrans(b"01", b"\x00\x02")
+# ASCII digits -> symbols 0..9
+_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _pack(symbols: bytes, plane: bytes = _LO) -> int:
@@ -237,16 +239,17 @@ def check_holomorphic_hypotheses(code: BinaryCode) -> CodeReport:
 # ---------------------------------------------------------------------------
 # code file format
 
-def parse_code_lines(text: str, alphabet: int) -> List[Vector]:
+def parse_code_lines(text: str, alphabet: int) -> List[bytes]:
+    """The rows of a code file, one byte per symbol."""
     rows = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip().replace(" ", "")
         if not line:
             continue
-        if not (line.isascii() and line.isdigit()):  # int() reads any script's digits
+        if not (line.isascii() and line.isdigit()):  # str.isdigit takes any script's digits
             raise CodeError(f"bad code line {line!r}")
-        row = tuple(map(int, line))
-        if any(s >= alphabet for s in row):
+        row = line.encode().translate(_DIGITS)
+        if max(row) >= alphabet:
             raise CodeError(f"symbol out of range in {line!r}")
         rows.append(row)
     if not rows:

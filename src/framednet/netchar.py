@@ -5,7 +5,9 @@ by side: the frame route, a theta sum over the binary code's words
 counted by their pair weights and divided once by eta^d (primary), and
 the lattice theta series divided by eta^d, a polynomial in the E8
 character E4 / eta^8 fitted as a modular form (oracle).
-Cross agreement of the two is part of the acceptance suite.  A third,
+Cross agreement of the two is part of the acceptance suite.  That
+completion, from the first d/24 + 1 coefficients of a weight-d/2 form,
+is one helper, which the orbifold vacuum character uses too.  A third,
 `lattice_net_char`, sums the Z4 code's enumerated weight profile and
 serves the tests as an oracle of the frame route.  All three reduce to
 one kernel, a sum of products of powers of a few series, each series
@@ -252,24 +254,34 @@ def theta_over_eta(code: BinaryCode, variant: str, steps: int = 5) -> NetCharact
     """Independent route to the lattice-net character: Theta_L / eta^d.
 
     For a doubly-even self-dual code the lattice is even unimodular, so its
-    theta series is a modular form of weight d/2 for SL2(Z):
-    Theta = sum over i <= d/24 of c_i E4^(d/8 - 3i) Delta^i.  Delta^i starts
-    at 1 * q^i, so the c_i solve a unitriangular system in the first
-    d/24 + 1 coefficients, all the weight enumerator is summed for.  As
-    Delta = eta^24, Theta / eta^d is the polynomial sum of c_i chi^(d/8 - 3i)
-    in the E8 character chi = E4 / eta^8.  A code that is not self-dual
+    theta series is a modular form of weight d/2 for SL2(Z), and
+    `_holomorphic_char` completes it from its first d/24 + 1 coefficients,
+    all the weight enumerator is summed for.  A code that is not self-dual
     raises CodeError.
     """
     check_holomorphic_hypotheses(code)
     d = code.length
+    return _holomorphic_char(theta_series(code, variant, Fraction(d // 24 + 1)), d, steps)
+
+
+def _holomorphic_char(form: QSeries, d: int, steps: int) -> NetCharacter:
+    """The character form / eta^d of a holomorphic net of central charge d,
+    kept `steps` q-steps above q^{-d/24}.
+
+    `form` = ch * eta^d is a modular form of weight d/2 for SL2(Z) (Zhu), so
+    form = sum over i <= d/24 of c_i E4^(d/8 - 3i) Delta^i.  Delta^i starts
+    at 1 * q^i, so the c_i solve a unitriangular system in the first
+    d/24 + 1 coefficients, and `form` need only be exact below
+    q^{d/24 + 1}.  As Delta = eta^24, form / eta^d is the polynomial sum of
+    c_i chi^(d/8 - 3i) in the E8 character chi = E4 / eta^8.
+    """
     top = d // 24
     low = Fraction(top + 1)
-    theta = theta_series(code, variant, low)
     forms = [eisenstein_e4(low), eta_power(24, low)]
     cs: Dict[Tuple[int, int], int] = {}
     for i in range(top + 1):
         fit = _sum_of_products(cs, forms, to_num(low))
-        cs[d // 8 - 3 * i, i] = theta.coeff(i) - fit.coeff(i)
+        cs[d // 8 - 3 * i, i] = form.coeff(i) - fit.coeff(i)
     bound = Fraction(steps + 1)
     chi = eisenstein_e4(bound) * eta_power(-8, bound - Fraction(1, 3))
     powers = {(k,): c for (k, _), c in cs.items()}

@@ -359,7 +359,46 @@ class TestOrbifoldChar:
 
         monkeypatch.setattr(orbifold, "orbifold_pieces", counted)
         code, _, _ = run(capsys, "orbifold-char", "--code", "builtin:h8", "--order", "3")
-        assert code == 0 and len(calls) == 1
+        # one expansion, to the d/24 = 0 q-steps that fix the vacuum
+        assert code == 0 and [args[2] for args in calls] == [0]
+
+    @pytest.mark.parametrize("order", ["0", "1", "2", "40"])
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    @pytest.mark.parametrize("base", ["h8", "golay24"])
+    def test_pieces_print_the_same_vacuum(self, capsys, base, variant, order):
+        # --pieces reads the vacuum off the pieces it prints; without it the
+        # vacuum is completed from a modular form
+        argv = ["orbifold-char", "--code", f"builtin:{base}", "--variant", variant, "--order", order]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        plain = json.loads(out)
+        code, out, _ = run(capsys, *argv, "--pieces")
+        assert code == 0
+        pieces = json.loads(out)
+        assert set(plain) == {"den", "terms", "order_num"}
+        assert plain == {key: pieces[key] for key in plain}
+
+    @pytest.mark.parametrize("base, d", [("h8", 8), ("golay24", 24)])
+    def test_products_expanded_only_to_the_fit_bound(self, capsys, monkeypatch, base, d):
+        from fractions import Fraction
+
+        from framednet import orbifold
+
+        orders = []
+        real = orbifold.product_form
+
+        def spy(first, step, power, order):
+            if abs(power) == d:
+                orders.append(Fraction(order))
+            return real(first, step, power, order)
+
+        monkeypatch.setattr(orbifold, "product_form", spy)
+        argv = ["orbifold-char", "--code", f"builtin:{base}", "--order", "40"]
+        assert run(capsys, *argv)[0] == 0
+        assert orders and max(orders) <= d // 24 + 1, orders
+        orders.clear()
+        assert run(capsys, *argv, "--pieces")[0] == 0
+        assert max(orders) > 40, orders
 
     def test_not_self_dual_exit_1(self, capsys, tmp_path):
         # doubly even with the all-ones vector, but dimension 1 of 4; the

@@ -328,6 +328,11 @@ class TestZ4Codes:
     def test_parse_z4(self):
         code = z4_code_from_text("13\n22\n")
         assert code.length == 2
+        # 2 * 13 = 22, so the rows span {00, 13, 22, 31}
+        assert len(code) == 4 and (3, 1) in code and (0, 2) not in code
+        for line in ("14", "90"):
+            with pytest.raises(CodeError, match="symbol out of range"):
+                z4_code_from_text(line)
 
     def test_profile_trivial(self):
         code = Z4Code(3, [(0, 0, 0)])

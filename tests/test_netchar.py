@@ -8,9 +8,11 @@ theta series, and the weight-enumerator sum to full order, divided by
 eta^d, for the character that production expands in E4 / eta^8.
 """
 
+import operator
 import re
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from framednet.codes import CodeError, builtin_code, builtin_delta, delta_code
 from framednet.fusion import emit_branching_graph, orbifold_census
 from framednet.netchar import (
     NetCharacter,
+    _holomorphic_char,
     frame_char,
     ising_branching_mismatch,
     ising_char,
@@ -30,9 +33,9 @@ from framednet.netchar import (
     u14_sector_char,
 )
 from framednet.orbifold import orbifold_pieces, orbifold_vacuum_char
-from framednet.qseries import DEN, QSeries, to_num
+from framednet.qseries import DEN, QSeries, eisenstein_e4, eta_power, to_num
 from oracles import binary_codewords, leading, product_oracle
-from test_acceptance import MODULAR_CODES, _theta_over_eta_by_full_sum
+from test_acceptance import MODULAR_CODES, _j_coefficients, _mul, _theta_over_eta_by_full_sum
 from test_codes import _golay24_pairs_permuted, _h8_plus_ones8, _ones8
 
 HALF = Fraction(1, 2)
@@ -286,6 +289,59 @@ class TestThetaCompletion:
     def test_refuses_codes_that_are_not_self_dual(self, make, variant):
         with pytest.raises(CodeError, match="not self-dual"):
             theta_over_eta(make(), variant, 4)
+
+
+def _power(series, k, order):
+    return reduce(operator.mul, [series] * k, QSeries.one(order))
+
+
+class TestHolomorphicCompletion:
+    """The fit and the chi expansion at d/24 = 2 and 3, which no named code
+    reaches, so the third and fourth coefficients of the fit are checked
+    only here.  Each form E4^a Delta^b of weight d/2 is completed against
+    E4^a eta^(24b - d) expanded directly; a character starts 1 * q^{-d/24},
+    so a monomial with b > 0 rides on E4^(d/8)."""
+
+    STEPS = 12
+
+    @pytest.mark.parametrize("d, b", [(48, b) for b in range(3)] + [(72, b) for b in range(4)])
+    def test_e4_delta_monomials(self, d, b):
+        low = Fraction(d // 24 + 1)
+        e4, delta = eisenstein_e4(low), eta_power(24, low)
+
+        def form(a, b):
+            return _power(e4, a, to_num(low)) * _power(delta, b, to_num(low))
+
+        def direct(a, b):  # E4^a eta^(24b - d), exact well past the character's order
+            bound = Fraction(self.STEPS + 2)
+            return _power(eisenstein_e4(bound), a, to_num(bound)) * eta_power(24 * b - d, bound)
+
+        a = d // 8 - 3 * b
+        given, expected = form(d // 8, 0), direct(d // 8, 0)
+        if b:
+            given, expected = given + form(a, b), expected + direct(a, b)
+        got = _holomorphic_char(given, d, self.STEPS)
+        assert got.central_charge == d
+        assert expected.order >= got.series.order
+        assert got.series == QSeries(expected.terms, got.series.order)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_powers_of_j(self, k):
+        # J^k * eta^(24k) = (E4^3 - 744 Delta)^k, against J from plain integers
+        d = 24 * k
+        low = Fraction(k + 1)
+        j_delta = _power(eisenstein_e4(low), 3, to_num(low)) - eta_power(24, low).scale(744)
+        got = _holomorphic_char(_power(j_delta, k, to_num(low)), d, self.STEPS).series
+        n = self.STEPS + 1
+        j = _j_coefficients(self.STEPS)[:n]  # q^-1 .. q^(STEPS - 1)
+        expected = reduce(lambda x, y: _mul(x, y, n), [j] * k)
+        assert [got.coeff(i - k) for i in range(n)] == expected
+
+    def test_form_must_reach_the_fit_bound(self):
+        # the fit reads q^0 .. q^(d/24); a form known only below q^2 is refused at d = 48
+        e4 = eisenstein_e4(2)
+        with pytest.raises(ValueError, match="beyond order"):
+            _holomorphic_char(_power(e4, 6, to_num(2)), 48, 3)
 
 
 KERNEL_ORDER = 30

@@ -187,6 +187,73 @@ class TestVacuumChar:
             assert (n + DEN) % DEN == 0
 
 
+class TestCompletion:
+    """Production expands the pieces only to the d/24 q-steps that fix the
+    modular form ch * eta^d and completes the rest in E4 / eta^8; the
+    vacuum read off pieces expanded to full order is its oracle."""
+
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    @pytest.mark.parametrize("name", list(MODULAR_CODES))
+    def test_matches_the_pieces_route(self, name, variant):
+        code = MODULAR_CODES[name]()
+        top = code.length // 24
+        for steps in sorted({0, top, top + 1, 30, 150}):
+            got = orbifold_vacuum_char(code, variant, steps).series
+            oracle = vacuum_char_from_pieces(orbifold_pieces(code, variant, steps)).series
+            assert got == oracle, f"steps {steps}"
+
+    @pytest.mark.parametrize("name", ["h8", "golay24", "rm25"])
+    def test_pieces_expanded_only_to_the_fit_bound(self, name, monkeypatch):
+        from framednet import orbifold
+
+        pieces_steps, orders = [], []
+        real_pieces, real_product = orbifold.orbifold_pieces, orbifold.product_form
+
+        def pieces_spy(code, variant, steps):
+            pieces_steps.append(steps)
+            return real_pieces(code, variant, steps)
+
+        def product_spy(first, step, power, order):
+            orders.append(Fraction(order))
+            return real_product(first, step, power, order)
+
+        monkeypatch.setattr(orbifold, "orbifold_pieces", pieces_spy)
+        monkeypatch.setattr(orbifold, "product_form", product_spy)
+        code = MODULAR_CODES[name]()
+        top = code.length // 24
+        orbifold_vacuum_char(code, "Ltilde", 150)
+        assert pieces_steps == [top]
+        assert len(orders) == 2 and max(orders) <= top + 1, orders
+
+
+# Conway-Norton's McKay-Thompson series of the Monster class 2B,
+# eta(tau)^24 / eta(2 tau)^24 + 24, at q^-1 .. q^5.
+T_2B = [1, 0, 276, -2048, 11202, -49152, 184024]
+
+
+class TestInvolutionTrace:
+    """The orbifold net's dual involution acts as +1 on the untwisted part
+    and -1 on beta1, so its trace is (Z1 + Z2)/2 - beta1 = Z1 + Z2 - ch,
+    with ch from the completion.  On the moonshine net it is the Monster's
+    T_2B, a published series the construction does not derive from."""
+
+    def test_moonshine_trace_is_t2b(self):
+        p = orbifold_pieces(GOLAY, "Ltilde", steps=6)
+        ch = orbifold_vacuum_char(GOLAY, "Ltilde", steps=6)
+        trace = p.z1.series + p.z2.series - ch.series
+        assert [trace.coeff(k) for k in range(-1, 6)] == T_2B
+
+    @pytest.mark.parametrize("variant, constant", [("Ltilde", 24), ("L", 48)])
+    def test_trace_is_z2_plus_a_constant(self, variant, constant):
+        # Z2 = eta(tau)^24 / eta(2 tau)^24; Z1 - ch is the weight-one count
+        # the orbifold loses, 24 of the Leech net's 24 and 48 of L's 72
+        p = orbifold_pieces(GOLAY, variant, steps=150)
+        ch = orbifold_vacuum_char(GOLAY, variant, steps=150)
+        trace = p.z1.series + p.z2.series - ch.series
+        z2 = p.z2.series
+        assert trace == z2 + QSeries({0: constant}, z2.order)
+
+
 def weight_parity_split(x):
     """Split by weight parity: integer-weight part, half-integer part.
 
