@@ -2,11 +2,12 @@
 
 Only this module knows how rows are stored: an F2 row is an int, bit i for
 coordinate i, and a Z4 word two such bit planes (lo, hi), symbol lo + 2*hi.
-One reduced row echelon form and one kernel serve every code, and symbol
-tuples appear only at the public edge (a binary code's `generators`,
-`in`, the Z4 code's `codewords()`, the element `non_integral_element`
-returns).  The Z4 arithmetic of a simple current extension, the weight
-check and the orders of H-perp / H, is done here on planes too.
+One reduced row echelon form serves every code, and symbol tuples appear
+only at the public edge (a binary code's `generators`, `in`, the Z4
+code's `codewords()`, the element `non_integral_element` returns).  The
+Z4 arithmetic of a simple current extension, the weight check and the
+orders of H-perp / H, is done here on planes too, and builds no dual:
+the orders come from one kernel and one rank over H's two rows.
 
 Each binary code is enumerated once, when it is certified: one Gray-code
 sweep over its words packed as two ints, the bit planes of its even and
@@ -99,12 +100,12 @@ def _rref(rows: Iterable[int]) -> Dict[int, int]:
     return dict(sorted(reduced.items()))
 
 
-def _kernel(rows: Iterable[int], n: int) -> List[int]:
-    """A basis of {x in F2^n : r.x = 0 for every row r}: for each free
-    coordinate f, in increasing f, e_f plus the pivots p of the reduced rows
-    that hold f.  Each row's free bits are walked once, OR-ing its pivot
-    into those coordinates' columns."""
-    reduced = _rref(rows)
+def _kernel(reduced: Dict[int, int], n: int) -> List[int]:
+    """A basis of {x in F2^n : r.x = 0 for every row r} of a reduced row
+    echelon form, as `_rref` returns it: for each free coordinate f, in
+    increasing f, e_f plus the pivots p of the rows that hold f.  Each
+    row's free bits are walked once, OR-ing its pivot into those
+    coordinates' columns."""
     pivots = sum(reduced)
     columns: Dict[int, int] = {}  # free bit e_f -> e_f plus its pivots
     for p, r in reduced.items():
@@ -327,8 +328,8 @@ class Z4Code:
     with 2*Z4^d that holds the double of every unit row.  Summing each
     basis row with coefficients in {0,1} hits every codeword exactly once,
     so the cardinality is 2^(number of basis rows).  Rows are bit planes,
-    each layer with the mask of its pivots.  Construction, membership, the
-    subcode order `<=` and growing the span share one reduction.
+    each layer with the mask of its pivots.  Construction and membership
+    share one reduction.
     """
 
     def __init__(self, length: int, generators: Iterable[Sequence[int]]):
@@ -370,20 +371,17 @@ class Z4Code:
             hi = _eliminate(hi, self._twos, self._two_mask)
         return lo, hi
 
-    def _add(self, lo: int, hi: int) -> bool:
+    def _add(self, lo: int, hi: int) -> None:
         lo, hi = self._reduce(lo, hi)
         if lo:
             p = lo & -lo
             self._units[p] = lo, hi
             self._unit_mask |= p
             self._add(0, lo)  # its double
-            return True
-        if not hi:
-            return False
-        p = hi & -hi
-        self._twos[p] = hi
-        self._two_mask |= p
-        return True
+        elif hi:
+            p = hi & -hi
+            self._twos[p] = hi
+            self._two_mask |= p
 
     @property
     def log2_size(self) -> int:
@@ -395,10 +393,6 @@ class Z4Code:
 
     def __contains__(self, v: Sequence[int]) -> bool:
         return len(v) == self.length and self._reduce(*_planes(v)) == (0, 0)
-
-    def __le__(self, other: Z4Code) -> bool:
-        """Whether this code is a subcode of `other`."""
-        return self.length == other.length and all(other._reduce(*g) == (0, 0) for g in self._gens)
 
     def residue_code(self) -> BinaryCode:
         """The code mod 2, spanned by the unit rows' low planes."""
@@ -434,31 +428,6 @@ class Z4Code:
         return f"Z4Code(length={self.length}, size=2^{self.log2_size})"
 
 
-def z4_dual_code(code: Z4Code) -> Z4Code:
-    """Dual under the pairing b(x, y) = sum x_i y_i / 4 mod 1, over F2.
-
-    With unit rows u and two rows 2t, y = k + 2w (k, w binary) is in the
-    dual iff t.k = 0 (mod 2) and u.k + 2 u.w = 0 (mod 4).  So k runs over
-    the F2 kernel K of the rows t, which span the u mod 2, and each k
-    lifts with a w solving (u mod 2).w = (u.k mod 4) / 2.  The lifts of a
-    basis of K and 2z for a basis of the kernel of (u mod 2) generate the
-    dual.  The u mod 2 are independent, so one reduction of them,
-    augmented by the right-hand sides of every k, solves every system.
-    In planes u.k = |u_lo & k| + 2 |u_hi & k|, where |u_lo & k| is even.
-    """
-    d = code.length
-    kernel = _kernel(code._twos.values(), d)
-    augmented = [
-        lo | sum(1 << d + j for j, k in enumerate(kernel)
-                 if ((lo & k).bit_count() >> 1) + (hi & k).bit_count() & 1)
-        for lo, hi in code._units.values()
-    ]
-    solved = _rref(augmented).items()
-    gens = [(k, sum(p for p, row in solved if row >> d + j & 1)) for j, k in enumerate(kernel)]
-    gens += [(0, z) for z in _kernel([lo for lo, _ in code._units.values()], d)]
-    return Z4Code._from_planes(d, gens or [(0, 0)])
-
-
 # ---------------------------------------------------------------------------
 # simple current extensions of Z4^d, where h(x) = sum x_i^2 / 8 mod 1
 
@@ -483,17 +452,21 @@ def non_integral_element(H: Z4Code) -> Optional[Vector]:
     return None
 
 
-def quotient_orders(H: Z4Code, dual: Z4Code) -> Tuple[int, ...]:
-    """The orders of the cyclic factors of dual / H, as Z4^a x Z2^b.
+def quotient_orders(H: Z4Code) -> Tuple[int, ...]:
+    """The orders of the cyclic factors of H-perp / H, as Z4^a x Z2^b.
 
-    H is isotropic and dual is H-perp.  The quotient Q is killed by 4, so
-    Q = Z4^a x Z2^b with 2Q = (H + 2*H-perp) / H = Z2^a: a counts the
-    generators of H-perp whose doubles grow a copy of H, and
-    b = log2 |Q| - 2a.  The double of a word (lo, hi) is (0, lo).
+    H is isotropic.  The quotient Q is killed by 4, so Q = Z4^a x Z2^b
+    with 2Q = (H + 2 H-perp) / H = Z2^a.  Let T = {t in F2^d : 2t in H},
+    spanned by H's two rows.  Then H cap 2 Z4^d = 2T, and 2 H-perp is 2R
+    with R = H-perp mod 2 = T-perp (y = k + 2w pairs to 0 with 2t iff
+    t.k = 0, and each such k lifts, as the unit rows are independent
+    mod 2).  So 2Q = T-perp / (T cap T-perp) = (T + T-perp) / T,
+    a = rank(T + T-perp) - dim T, and b = log2 |Q| - 2a with
+    log2 |Q| = 2d - 2 log2 |H|, as |H-perp| = 4^d / |H|.
     """
-    span = Z4Code._from_planes(H.length, H._gens)
-    a = sum(span._add(0, lo) for lo, _ in dual._gens)
-    return (4,) * a + (2,) * (dual.log2_size - H.log2_size - 2 * a)
+    tor = _rref(H._twos.values())
+    a = len(_rref([*tor.values(), *_kernel(tor, H.length)])) - len(tor)
+    return (4,) * a + (2,) * (2 * (H.length - H.log2_size - a))
 
 
 def z4_code_from_text(text: str) -> Z4Code:

@@ -1,15 +1,17 @@
 """Product expansions shared by the series, character and orbifold tests,
 coded independently of framednet.qseries.product_form; codewords and the
 glue word built from their definitions, independently of framednet.codes;
-a Z4 code's generators as symbol tuples; and codes shared by the
-acceptance and fusion tests.
+a Z4 code's generators as symbol tuples and its dual; codes shared by the
+acceptance and fusion tests; and random doubly-even self-dual codes.
 """
 
 import math
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from framednet import codes
-from framednet.codes import BinaryCode, builtin_code
+from framednet.codes import BinaryCode, Z4Code, builtin_code
 from framednet.qseries import DEN, QSeries
 
 
@@ -70,6 +72,31 @@ def z4_generators(code):
     return tuple(codes._word(lo, hi, code.length) for lo, hi in code._gens)
 
 
+def z4_dual_code(code):
+    """Dual under the pairing b(x, y) = sum x_i y_i / 4 mod 1, over F2.
+
+    With unit rows u and two rows 2t, y = k + 2w (k, w binary) is in the
+    dual iff t.k = 0 (mod 2) and u.k + 2 u.w = 0 (mod 4).  So k runs over
+    the F2 kernel K of the rows t, which span the u mod 2, and each k
+    lifts with a w solving (u mod 2).w = (u.k mod 4) / 2.  The lifts of a
+    basis of K and 2z for a basis of the kernel of (u mod 2) generate the
+    dual.  The u mod 2 are independent, so one reduction of them,
+    augmented by the right-hand sides of every k, solves every system.
+    In planes u.k = |u_lo & k| + 2 |u_hi & k|, where |u_lo & k| is even.
+    """
+    d = code.length
+    kernel = codes._kernel(codes._rref(code._twos.values()), d)
+    augmented = [
+        lo | sum(1 << d + j for j, k in enumerate(kernel)
+                 if ((lo & k).bit_count() >> 1) + (hi & k).bit_count() & 1)
+        for lo, hi in code._units.values()
+    ]
+    solved = codes._rref(augmented).items()
+    gens = [(k, sum(p for p, row in solved if row >> d + j & 1)) for j, k in enumerate(kernel)]
+    gens += [(0, z) for z in codes._kernel(codes._rref(lo for lo, _ in code._units.values()), d)]
+    return Z4Code._from_planes(d, gens or [(0, 0)])
+
+
 def glue_word(d):
     """The extra coset representative of the second lattice construction:
     1 on the even coordinates, and the last pair 3 2 when d = 8 (mod 16)."""
@@ -119,3 +146,25 @@ def _h8_plus_d16_plus():
 def _d24_plus():
     """d24+: the blocks 1111 at pair offsets 0-20 and the glue 0101...01."""
     return _d_plus(24)
+
+
+@st.composite
+def self_dual_codes(draw, max_k=5, steps=3):
+    """A doubly-even self-dual code of length 8k, 1 <= k <= max_k: h8^k,
+    then `steps` Kneser neighbour steps C -> (C cap v-perp) + <v> (Kneser
+    1957; Conway-Sloane, SPLAG ch. 16), v drawn of weight 0 mod 4.  Since C
+    is self-dual, a v outside C is outside C-perp, so C cap v-perp has
+    index 2 in C, and the neighbour is doubly even and self-dual again and
+    holds the all-ones word; a v in C leaves C as it is."""
+    k = draw(st.integers(1, max_k))
+    d = 8 * k
+    code = _direct_sum(*[builtin_code("h8")] * k)
+    for _ in range(steps):
+        support = draw(st.permutations(range(d)))[:4 * draw(st.integers(1, 2 * k - 1))]
+        v = [int(i in support) for i in range(d)]
+        if v in code:
+            continue
+        odd = [g for g in code.generators if sum(a & b for a, b in zip(g, v)) % 2]
+        even = [g for g in code.generators if g not in odd]
+        code = BinaryCode(d, [*even, *(tuple(a ^ b for a, b in zip(g, odd[0])) for g in odd[1:]), v])
+    return code

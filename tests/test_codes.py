@@ -31,10 +31,9 @@ from framednet.codes import (
     sigma2_code,
     validate_binary_code,
     z4_code_from_text,
-    z4_dual_code,
 )
 from framednet.netchar import frame_char, lattice_net_char, theta_over_eta
-from oracles import _direct_sum, _h8_squared, binary_codewords, glue_word, z4_generators
+from oracles import _direct_sum, _h8_squared, binary_codewords, glue_word, z4_dual_code, z4_generators
 from test_acceptance import _reed_muller_2_5, _theta_over_eta_by_full_sum
 
 
@@ -714,7 +713,7 @@ class TestPackedRows:
     @given(_f2_matrices())
     def test_kernel_is_orthogonal_of_full_dimension(self, matrix):
         d, rows = matrix
-        kernel = codes._kernel(_packed(rows), d)
+        kernel = codes._kernel(codes._rref(_packed(rows)), d)
         assert len(kernel) == d - len(codes._rref(_packed(rows)))
         assert all((r & x).bit_count() % 2 == 0 for r in _packed(rows) for x in kernel)
         assert _unpacked(kernel, d) == _kernel_f2(rows, d)
@@ -725,7 +724,7 @@ class TestPackedRows:
         # wide rows and many of them, so a free coordinate sits in several rows
         n = data.draw(st.integers(1, 300))
         rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
-        assert codes._kernel(rows, n) == _kernel_by_scan(rows, n)
+        assert codes._kernel(codes._rref(rows), n) == _kernel_by_scan(rows, n)
 
     @settings(deadline=None, derandomize=True, max_examples=150)
     @given(st.data())

@@ -4,10 +4,11 @@ counts.
 The pointed systems (a finite abelian group with a weight map), the
 rank-one system, the spin power rule and the Miyamoto sign involutions
 have no caller in the program; they live here as test helpers, and so
-does the integer diagonalization that checks the Z4 duals.  The weight
-check on symbol tuples, which `codes` now does on bit planes, stays here
-as its oracle, and so does a presentation of H-perp / H by generators,
-whose orders `codes` reads off without building one.
+does the integer diagonalization that checks the Z4 duals of
+`oracles.z4_dual_code`.  The weight check on symbol tuples, which `codes`
+now does on bit planes, stays here as its oracle, and so does a
+presentation of H-perp / H by generators, whose orders `codes` reads off
+without building it or H-perp.
 """
 
 import math
@@ -19,7 +20,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from framednet import codes, fusion
+from framednet import codes
 from framednet.codes import (
     BinaryCode,
     Z4Code,
@@ -29,7 +30,7 @@ from framednet.codes import (
     non_integral_element,
     quotient_orders,
     sigma2_code,
-    z4_dual_code,
+    validate_binary_code,
 )
 from framednet.fusion import (
     FusionError,
@@ -48,6 +49,8 @@ from oracles import (
     _h8_cubed,
     _h8_plus_d16_plus,
     _h8_squared,
+    self_dual_codes,
+    z4_dual_code,
     z4_generators,
 )
 
@@ -181,9 +184,8 @@ def integral(H: Z4Code) -> bool:
 def _basis(H: Z4Code) -> List[Tuple[Element, int]]:
     """The tuple oracle's presentation of H-perp / H, whose orders must be
     the ones quotient_orders reads off the planes."""
-    dual = z4_dual_code(H)
-    basis = _quotient_basis(H, dual)
-    assert quotient_orders(H, dual) == tuple(o for _, o in basis)
+    basis = _quotient_basis(H, z4_dual_code(H))
+    assert quotient_orders(H) == tuple(o for _, o in basis)
     return basis
 
 
@@ -333,18 +335,18 @@ class TestExtensions:
         ],
         ids=["golay24-L", "golay24-Ltilde", "trivial", "2222-blocks-32"],
     )
-    def test_one_dual_per_extension(self, subgroup, monkeypatch):
-        # the quotient's orders need H-perp and nothing more: no second dual
-        H, calls = subgroup(), []
+    def test_no_z4_code_besides_h(self, subgroup, monkeypatch):
+        # the quotient's orders come from H's two rows: no dual is built
+        H, built = subgroup(), []
+        init = Z4Code.__init__
 
-        def spy(code):
-            calls.append(code)
-            return z4_dual_code(code)
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
 
-        monkeypatch.setattr(fusion, "z4_dual_code", spy)
-        monkeypatch.setattr(codes, "z4_dual_code", spy)
+        monkeypatch.setattr(Z4Code, "__init__", counted)
         assert simple_current_extension(H).allowed
-        assert len(calls) == 1 and calls[0] is H
+        assert built == []
 
     def test_intermediate_quotient(self):
         # H = <(2,2)> inside Z4^2: index-4 quotient with orders (2,2)
@@ -451,7 +453,7 @@ class TestQuotientAgainstEnumeration:
         dual = z4_dual_code(H)
         orders, reps = _oracle_quotient(H)
         basis = _basis(H)
-        assert tuple(o for _, o in basis) == quotient_orders(H, dual) == orders
+        assert tuple(o for _, o in basis) == quotient_orders(H) == orders
         # faithful: the combinations hit distinct cosets, all inside H-perp
         cosets = set()
         weights = Counter()
@@ -561,9 +563,11 @@ class TestDualCodes:
     def test_subcode_order_reads_isotropy(self, code):
         gens = z4_generators(code)
         isotropic = all(sum(a * b for a, b in zip(g, k)) % 4 == 0 for g in gens for k in gens)
-        assert code <= code and code <= Z4Code(code.length, [(1,) * code.length, *gens])
-        assert (code <= z4_dual_code(code)) is isotropic
-        assert not code <= Z4Code(code.length + 1, [(1,) * (code.length + 1)])
+        bigger = Z4Code(code.length, [(1,) * code.length, *gens])
+        assert all(g in code and g in bigger for g in gens)
+        dual = z4_dual_code(code)
+        assert all(g in dual for g in gens) is isotropic
+        assert not any(g in Z4Code(code.length + 1, [(1,) * (code.length + 1)]) for g in gens)
 
     def test_dual_pairing_vanishes(self):
         H = builtin_delta("h8", "Ltilde")
@@ -604,6 +608,44 @@ class TestAgainstTupleOracles:
         H = sigma2_code(n, zero_variant=True)
         assert integral(H)
         assert [o for _, o in _basis(H)] == [4, 4] + [2] * (2 * n - 2)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(_z4_codes())
+    # the shapes of `extend`'s timing inputs at d = 1600, scaled to d = 12
+    @example(sigma2_code(6, zero_variant=True))  # 2222 on pairs i and i + 1
+    @example(Z4Code(12, [(0,) * i + (2, 2) + (0,) * (10 - i) for i in range(11)]))  # 22 on i, i + 1
+    @example(sigma2_code(6))  # 22 on each pair
+    @example(Z4Code(12, [(2, 2) + (0,) * 10]))  # one row 22 0...0
+    def test_integral_codes_are_isotropic(self, H):
+        # the extension checks neither H <= H-perp nor builds H-perp
+        if non_integral_element(H) is None:
+            dual = _diagonalization_dual(H)
+            assert all(g in dual for g in z4_generators(H))
+            orders = quotient_orders(H)
+            assert orders == tuple(o for _, o in _quotient_basis(H, dual))
+            assert math.prod(orders) * len(H) ** 2 == 4 ** H.length
+
+
+class TestDrawnSelfDualCodes:
+    """The delta codes of doubly-even self-dual codes of length 8-40, drawn
+    as Kneser neighbours of h8^k, extend to a holomorphic net, and their
+    lattice nets have framed index 1."""
+
+    @settings(deadline=None, derandomize=True, max_examples=8)
+    @given(self_dual_codes())
+    def test_delta_code_extends_with_index_one(self, code):
+        report = validate_binary_code(code)
+        assert report.doubly_even and report.self_dual and report.contains_all_ones
+        for variant in ("L", "Ltilde"):
+            r = simple_current_extension(delta_code(code, variant))
+            assert r.allowed and r.quotient_orders == () and r.mu_after == 1
+
+    @settings(deadline=None, derandomize=True, max_examples=8)
+    @given(self_dual_codes())
+    def test_framed_k_plus_l_is_twice_the_rank(self, code):
+        for variant in ("L", "Ltilde"):
+            framed = framed_from_code(delta_code(code, variant))
+            assert framed.k + framed.l == 2 * code.length
 
 
 class TestDisambiguation:

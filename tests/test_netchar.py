@@ -34,7 +34,7 @@ from framednet.netchar import (
 )
 from framednet.orbifold import orbifold_pieces, orbifold_vacuum_char
 from framednet.qseries import DEN, QSeries, eisenstein_e4, eta_power, to_num
-from oracles import binary_codewords, leading, product_oracle
+from oracles import binary_codewords, leading, product_oracle, self_dual_codes
 from test_acceptance import MODULAR_CODES, _j_coefficients, _mul, _theta_over_eta_by_full_sum
 from test_codes import _golay24_pairs_permuted, _h8_plus_ones8, _ones8
 
@@ -187,6 +187,13 @@ class TestThetaRoutes:
         a = frame_char(builtin_code("golay24"), "Ltilde", steps=4)
         b = theta_over_eta(builtin_code("golay24"), "Ltilde", steps=4)
         assert a.series.first_difference(b.series) is None
+
+    @settings(deadline=None, derandomize=True, max_examples=8)
+    @given(self_dual_codes())
+    def test_two_routes_on_drawn_self_dual_codes(self, code):
+        # lengths 8-40: Kneser neighbours of h8^k
+        for variant in ("L", "Ltilde"):
+            assert frame_char(code, variant, 3) == theta_over_eta(code, variant, 3)
 
     def test_vacuum_normalization(self):
         for variant in ("L", "Ltilde"):
