@@ -38,14 +38,12 @@ GRAPH_D_LIMIT = 8
 # 4300 digits (its default limit) to text; 4^(d+1) has at most 4300 digits
 # up to this d.
 POWER_D_LIMIT = 7141
-# extend's time grows with the generators of H, whose pairs the weight
-# check visits.  At d = 1600, one generator 22 0...0 took 0.10-0.13 s,
-# 800 generators 22 on each pair 0.20-0.29 s, 799 generators 2222 on four
-# adjacent coordinates 0.22-0.29 s and 1599 generators 22 on coordinates
-# i, i + 1 0.39-0.62 s, at 16-23 MB (fresh processes, median of 5, 2-core
-# Xeon, Python 3.11.7).  In-process library calls with the same shapes took
-# 0.014-0.016 s, 0.22-0.30 s, 0.22-0.38 s and 0.92-1.03 s at d = 3200, and
-# 0.06-0.10 s, 0.87-1.35 s, 1.19-1.37 s and 3.8 s (43 MB) at d = 6400.
+# extend's time grows with d and with H's generators.  At d = 1600, one
+# generator 22 0...0 took 0.07 s, the 800 generators 22 on each pair and
+# the 799 generators 2222 on four adjacent coordinates 0.11 s, and the 1599
+# generators 22 on coordinates i, i + 1 0.16 s, at 16-23 MB (fresh
+# processes, median of 5, 2-core Xeon, Python 3.11.7); in-process library
+# calls with those shapes took 0.014-0.041 s at d = 3200, 0.04-0.13 s at 6400.
 EXTEND_D_LIMIT = 1600
 # a series' cost grows about as order^2: at order 1000, golay24/Ltilde
 # `char --route both` took 11 s (20 MB), of which the code route is most,

@@ -21,9 +21,10 @@ codes and 0-3 for Z4 codes, with ``#`` comments.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import compress, product
 from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -437,18 +438,23 @@ def non_integral_element(H: Z4Code) -> Optional[Vector]:
 
     h is a quadratic form with polar form b(x, y) = sum x_i y_i / 4, so it
     vanishes on H iff it vanishes on each generator and b vanishes on each
-    pair of them.  For a pair (g, k) of integral generators with
+    pair of them.  For the first pair (g, k) of integral generators with
     b(g, k) != 0, g + k is the element.  In planes x_i^2 is 1 (mod 8) where
     lo is set and 4 where only hi is, so sum x_i^2 = |lo| + 4 |hi & ~lo|,
-    and x_i y_i = lo lo' + 2 (lo hi' + hi lo') (mod 4).
+    and x_i y_i = lo lo' + 2 (lo hi' + hi lo') (mod 4).  As b(2x, 2y) = 0
+    (mod 1), only the pairs with a unit generator (lo != 0) are visited.
     """
     gens = H._gens
     for lo, hi in gens:
         if (lo.bit_count() + 4 * (hi & ~lo).bit_count()) % 8:
             return _word(lo, hi, H.length)
-    for (alo, ahi), (blo, bhi) in combinations(gens, 2):
-        if ((alo & blo).bit_count() + 2 * ((alo & bhi).bit_count() + (ahi & blo).bit_count())) % 4:
-            return _word(alo ^ blo, ahi ^ bhi ^ (alo & blo), H.length)
+    units = [j for j, (lo, _) in enumerate(gens) if lo]
+    for i, (alo, ahi) in enumerate(gens):
+        partners = range(i + 1, len(gens)) if alo else units[bisect_right(units, i):]
+        for blo, bhi in map(gens.__getitem__, partners):
+            b = (alo & blo).bit_count() + 2 * ((alo & bhi).bit_count() + (ahi & blo).bit_count())
+            if b % 4:
+                return _word(alo ^ blo, ahi ^ bhi ^ (alo & blo), H.length)
     return None
 
 

@@ -12,6 +12,8 @@ is one helper, which the orbifold vacuum character uses too.  A third,
 serves the tests as an oracle of the frame route.  All three reduce to
 one kernel, a sum of products of powers of a few series, each series
 built from the theta sums `qseries.theta_form` and products `product_form`.
+Orders and exponents go to and come from qseries as ints or Fractions
+(`order_above`, `coeff`, `items`); how a series is stored is qseries' alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from fractions import Fraction
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .codes import BinaryCode, Z4Code, check_holomorphic_hypotheses, check_lattice_hypotheses
-from .qseries import DEN, QSeries, eisenstein_e4, eta_power, product_form, theta_form, to_num
+from .qseries import (
+    ExpLike, QSeries, eisenstein_e4, eta_power, order_above, product_form, theta_form
+)
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -36,16 +40,6 @@ class NetCharacter(NamedTuple):
     series: QSeries
     central_charge: Fraction
 
-    def coeff(self, exponent) -> int:
-        return self.series.coeff(exponent)
-
-
-def _char_order_num(lowest: Fraction, steps: int) -> int:
-    # keep exponents up to `steps` integer q-steps above the leading term
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    return to_num(lowest) + steps * DEN + 1
-
 
 def ising_char(h, steps: int = 5) -> NetCharacter:
     """Character of the c = 1/2 sector of weight h in {0, 1/2, 1/16}.
@@ -58,7 +52,7 @@ def ising_char(h, steps: int = 5) -> NetCharacter:
     """
     h = Fraction(h)
     c24 = Fraction(1, 48)
-    order = Fraction(_char_order_num(h - c24, steps), DEN)
+    order = order_above(h - c24, steps)
     if h == SIXTEENTH:
         series = product_form(1, 2, -1, order - Fraction(1, 24)).shift(Fraction(1, 24))
     elif h in (Fraction(0), HALF):
@@ -77,10 +71,10 @@ def u14_sector_char(j: int, steps: int = 5) -> NetCharacter:
     """
     j %= 4
     c24 = Fraction(1, 24)
-    order = Fraction(_char_order_num(U14_WEIGHTS[j] - c24, steps), DEN)
+    order = order_above(U14_WEIGHTS[j] - c24, steps)
     theta = theta_form(j, 4, Fraction(1, 8), order + c24)
-    series = theta * eta_power(-1, order + Fraction(U14_WEIGHTS[j]))
-    return NetCharacter(QSeries(series.terms, to_num(order)), Fraction(1))
+    series = theta * eta_power(-1, order + U14_WEIGHTS[j])
+    return NetCharacter(series, Fraction(1))
 
 
 def ising_branching_mismatch(steps: int = 8) -> Optional[Fraction]:
@@ -99,15 +93,12 @@ def ising_branching_mismatch(steps: int = 8) -> Optional[Fraction]:
         (u14_sector_char(1, steps).series, chis * chis),
         (u14_sector_char(3, steps).series, chis * chis),
     ]
-    for lhs, rhs in pairs:
-        n = lhs.first_difference(rhs)
-        if n is not None:
-            return Fraction(n, DEN)
-    return None
+    diffs = (lhs.first_difference(rhs) for lhs, rhs in pairs)
+    return next((e for e in diffs if e is not None), None)
 
 
 def _sum_of_products(
-    enumerator: Mapping[Tuple[int, ...], int], bases: Sequence[QSeries], order: int
+    enumerator: Mapping[Tuple[int, ...], int], bases: Sequence[QSeries], order: ExpLike
 ) -> QSeries:
     """Sum of count * prod_i bases[i]**k_i over the entries (k, count).
 
@@ -174,7 +165,7 @@ def frame_char(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
         enumerator[0, 0, 0, half, 0, 0] = 1
         enumerator[0, 0, 0, 0, half, 0] = len(code)
         enumerator[0, 0, 0, 0, 0, half] = sign * len(code)
-    theta = _sum_of_products(enumerator, bases, to_num(steps + 1))
+    theta = _sum_of_products(enumerator, bases, steps + 1)
     if variant == "Ltilde":
         theta = theta.half()
     return _over_eta(theta, d, steps)
@@ -189,24 +180,23 @@ def lattice_net_char(group: Z4Code, steps: int = 5) -> NetCharacter:
     The tests' oracle of frame_char.
     """
     thetas = [theta_form(j, 4, Fraction(1, 8), steps + 1) for j in range(4)]
-    theta = _sum_of_products(group.weight_profile(), thetas, to_num(steps + 1))
+    theta = _sum_of_products(group.weight_profile(), thetas, steps + 1)
     return _over_eta(theta, group.length, steps)
 
 
 def _over_eta(theta: QSeries, d: int, steps: int) -> NetCharacter:
     """The vacuum character theta / eta^d, kept `steps` q-steps above
     q^{-d/24}; theta must be exact below q^{steps + 1}."""
-    order = _char_order_num(Fraction(-d, 24), steps)
-    series = theta * eta_power(-d, Fraction(order, DEN))
+    series = theta * eta_power(-d, order_above(Fraction(-d, 24), steps))
     _assert_vacuum(series, d)
     return NetCharacter(series, Fraction(d))
 
 
 def _assert_vacuum(series: QSeries, d: int) -> None:
-    low = series.lowest()
-    if low != to_num(Fraction(-d, 24)) or series.terms[low] != 1:
+    terms = series.items()
+    if terms[:1] != [(Fraction(-d, 24), 1)]:
         raise AssertionError(f"vacuum normalization failed: leading {series}")
-    if any(c < 0 for c in series.terms.values()):
+    if any(c < 0 for _, c in terms):
         raise AssertionError("negative coefficient in a vacuum character")
 
 
@@ -238,7 +228,7 @@ def theta_series(code: BinaryCode, variant: str, bound: Fraction) -> QSeries:
 
     def lattice_sum(coset, residue: Fraction) -> QSeries:
         bases = [coset(residue), coset(residue + 1)]
-        return _sum_of_products(enumerator, bases, to_num(bound))
+        return _sum_of_products(enumerator, bases, bound)
 
     if variant == "L":
         return lattice_sum(plain, Fraction(0))
@@ -280,11 +270,11 @@ def _holomorphic_char(form: QSeries, d: int, steps: int) -> NetCharacter:
     forms = [eisenstein_e4(low), eta_power(24, low)]
     cs: Dict[Tuple[int, int], int] = {}
     for i in range(top + 1):
-        fit = _sum_of_products(cs, forms, to_num(low))
+        fit = _sum_of_products(cs, forms, low)
         cs[d // 8 - 3 * i, i] = form.coeff(i) - fit.coeff(i)
     bound = Fraction(steps + 1)
     chi = eisenstein_e4(bound) * eta_power(-8, bound - Fraction(1, 3))
     powers = {(k,): c for (k, _), c in cs.items()}
-    series = _sum_of_products(powers, [chi], _char_order_num(Fraction(-d, 24), steps))
+    series = _sum_of_products(powers, [chi], order_above(Fraction(-d, 24), steps))
     _assert_vacuum(series, d)
     return NetCharacter(series, Fraction(d))

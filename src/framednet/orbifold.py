@@ -7,7 +7,8 @@ under q^{1/2} -> -q^{1/2}, and beta1 is the integer-weight part of Z3.
 The orbifold net is holomorphic, so its vacuum character is completed
 like the theta route's from the pieces expanded only d/24 q-steps; read
 off pieces expanded to full order it is the tests' oracle and what
-`orbifold-char --pieces` prints beside them.
+`orbifold-char --pieces` prints beside them.  Orders and weights are
+exponents, passed to and read from qseries, which alone stores series.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from .netchar import (
     HALF,
     NetCharacter,
     _assert_vacuum,
-    _char_order_num,
     _holomorphic_char,
     theta_over_eta,
 )
-from .qseries import DEN, eta_power, product_form
+from .qseries import eta_power, order_above, product_form
 
 
 class OrbifoldPieces(NamedTuple):
@@ -56,12 +56,12 @@ def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldP
     check_holomorphic_hypotheses(code)
     d = code.length
     z1 = theta_over_eta(code, variant, steps)
-    order = Fraction(_char_order_num(Fraction(-d, 24), steps), DEN)
+    # each product is kept `steps` q-steps above its constant term
+    exact = order_above(0, steps)
     c = Fraction(d)
-    z2 = product_form(1, 2, d, order + Fraction(d, 24)).shift(Fraction(-d, 24))
+    z2 = product_form(1, 2, d, exact).shift(Fraction(-d, 24))
     ground = Fraction(d, 48)
-    tw_order = Fraction(_char_order_num(ground, steps), DEN)
-    z3 = product_form(HALF, 1, -d, tw_order - ground).shift(ground).scale(1 << (d // 2))
+    z3 = product_form(HALF, 1, -d, exact).shift(ground).scale(1 << (d // 2))
     even, odd = z3.half_steps(ground)
     z4 = even - odd
     return OrbifoldPieces(

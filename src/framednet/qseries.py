@@ -1,11 +1,12 @@
 """Exact formal q-series on the 1/48 exponent grid.
 
-All exponents are integer multiples of 1/48 and are stored as integer
-numerators over the fixed denominator 48.  Coefficients are arbitrary
-precision Python ints.  Every series carries a truncation order (also a
-numerator over 48): exponents >= order are unknown, exponents < order are
-exact.  Orders propagate pessimistically through multiplication so a
-retained coefficient is never polluted by discarded terms.
+All exponents are integer multiples of 1/48 and coefficients are
+arbitrary precision Python ints.  Every series carries a truncation
+order: exponents >= order are unknown, exponents < order are exact.
+Orders propagate pessimistically through multiplication so a retained
+coefficient is never polluted by discarded terms.  Only this module knows
+the storage, numerators over 48 as the keys of a dict `terms` and as
+`order`; callers pass and read exponents as ints or Fractions.
 
 The two sides of Jacobi's triple product are one routine each over an
 arithmetic progression: every infinite product is `product_form`, and
@@ -17,7 +18,7 @@ half-steps above a base exponent.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 DEN = 48
 
@@ -37,6 +38,13 @@ def to_num(e: ExpLike) -> int:
     return int(num)
 
 
+def order_above(lowest: ExpLike, steps: int) -> Fraction:
+    """The order that keeps a series exact `steps` q-steps above q^lowest."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    return Fraction(to_num(lowest) + steps * DEN + 1, DEN)
+
+
 class QSeries:
     """Immutable truncated series sum_e c_e q^e with e on the 1/48 grid."""
 
@@ -49,16 +57,16 @@ class QSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls({}, order)
+    def zero(cls, order: ExpLike) -> "QSeries":
+        return cls({}, to_num(order))
 
     @classmethod
-    def one(cls, order: int) -> "QSeries":
-        return cls({0: 1}, order)
+    def one(cls, order: ExpLike) -> "QSeries":
+        return cls({0: 1}, to_num(order))
 
     # -- inspection ---------------------------------------------------
 
-    def lowest(self) -> int:
+    def _lowest(self) -> int:
         """Numerator of the lowest stored exponent; the order if empty."""
         return min(self.terms) if self.terms else self.order
 
@@ -69,7 +77,8 @@ class QSeries:
         return self.terms.get(n, 0)
 
     def items(self):
-        return sorted(self.terms.items())
+        """(exponent, coefficient) of every nonzero term, by exponent."""
+        return [(Fraction(n, DEN), c) for n, c in sorted(self.terms.items())]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
@@ -83,15 +92,15 @@ class QSeries:
         """Termwise equality up to the smaller of the two orders."""
         return self.first_difference(other) is None
 
-    def first_difference(self, other: "QSeries"):
-        """Lowest exponent numerator where the two disagree, or None."""
+    def first_difference(self, other: "QSeries") -> Optional[Fraction]:
+        """Lowest exponent below both orders where the two disagree, or None."""
         o = min(self.order, other.order)
         diff = [n for n in set(self.terms) | set(other.terms)
                 if n < o and self.terms.get(n, 0) != other.terms.get(n, 0)]
-        return min(diff) if diff else None
+        return Fraction(min(diff), DEN) if diff else None
 
     def __repr__(self) -> str:
-        parts = [f"{c}*q^({Fraction(n, DEN)})" for n, c in self.items()[:6]]
+        parts = [f"{c}*q^({e})" for e, c in self.items()[:6]]
         if len(self.terms) > 6:
             parts.append("...")
         body = " + ".join(parts) if parts else "0"
@@ -113,7 +122,7 @@ class QSeries:
         return self + (-other)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        order = min(self.order + other.lowest(), other.order + self.lowest())
+        order = min(self.order + other._lowest(), other.order + self._lowest())
         terms: dict = {}
         for n1, c1 in self.terms.items():
             for n2, c2 in other.terms.items():
@@ -161,7 +170,7 @@ class QSeries:
     def to_json_dict(self) -> dict:
         return {
             "den": DEN,
-            "terms": [[n, str(c)] for n, c in self.items()],
+            "terms": [[n, str(c)] for n, c in sorted(self.terms.items())],
             "order_num": self.order,
         }
 
@@ -176,7 +185,7 @@ def product_form(first: ExpLike, step: ExpLike, power: int, order: ExpLike) -> Q
     first_num, step_num, order_num = to_num(first), to_num(step), to_num(order)
     if first_num <= 0 or step_num <= 0:
         raise ValueError(f"progression {first}, {step} must be positive")
-    result = QSeries.one(order_num)
+    result = QSeries.one(order)
     for e_num in range(first_num, order_num, step_num):
         factor_terms = {0: 1}
         coeff = 1  # (-1)^k C(power, k); k C(p, k) = (p - k + 1) C(p, k - 1) exactly
@@ -212,10 +221,8 @@ def theta_form(first: ExpLike, step: ExpLike, scale: ExpLike, order: ExpLike) ->
 
 def eta_power(k: int, order: ExpLike) -> QSeries:
     """(q^{1/24} prod_{n>=1} (1-q^n))^k, exact below `order`."""
-    order_num = to_num(order)
-    shift_num = k * (DEN // 24)
-    inner = product_form(1, 1, k, Fraction(order_num - shift_num, DEN))
-    return inner.shift(Fraction(shift_num, DEN))
+    shift = Fraction(k, 24)
+    return product_form(1, 1, k, Fraction(order) - shift).shift(shift)
 
 
 def eisenstein_e4(order: ExpLike) -> QSeries:

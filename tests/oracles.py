@@ -1,12 +1,13 @@
 """Product expansions shared by the series, character and orbifold tests,
 coded independently of framednet.qseries.product_form; codewords and the
 glue word built from their definitions, independently of framednet.codes;
-a Z4 code's generators as symbol tuples and its dual; codes shared by the
-acceptance and fusion tests; and random doubly-even self-dual codes.
+a Z4 code's generators as symbol tuples, its dual and its weight check
+over every pair of generators; codes shared by the acceptance and fusion
+tests; and random doubly-even self-dual codes.
 """
 
 import math
-from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -54,8 +55,7 @@ def product_oracle(sign, power, half, order_num):
 
 def leading(ch):
     """The lowest exponent of a character's series and its coefficient."""
-    n = ch.series.lowest()
-    return Fraction(n, DEN), ch.series.terms[n]
+    return ch.series.items()[0]
 
 
 def binary_codewords(code):
@@ -70,6 +70,21 @@ def binary_codewords(code):
 def z4_generators(code):
     """The generators a Z4 code was built from, in order, as symbol tuples."""
     return tuple(codes._word(lo, hi, code.length) for lo, hi in code._gens)
+
+
+def all_pairs_non_integral_element(code):
+    """An element of a Z4 code whose weight sum x_i^2 / 8 is not an integer,
+    or None: the first generator that fails, else g + k for the first pair
+    (g, k) of generators, in order, whose polar form sum g_i k_i / 4 is
+    not an integer.  Every pair is visited."""
+    gens = z4_generators(code)
+    for g in gens:
+        if sum(a * a for a in g) % 8:
+            return g
+    for g, k in combinations(gens, 2):
+        if sum(a * b for a, b in zip(g, k)) % 4:
+            return tuple((a + b) % 4 for a, b in zip(g, k))
+    return None
 
 
 def z4_dual_code(code):

@@ -622,7 +622,7 @@ class TestRank32:
         frame = frame_char(code, variant, steps=6)
         assert frame.series == theta_over_eta(code, variant, steps=6).series
         # 32 currents, plus 64 roots in L
-        assert frame.coeff(Fraction(-32, 24) + 1) == weight_one
+        assert frame.series.coeff(Fraction(-32, 24) + 1) == weight_one
 
 
 def _rref_f2(rows):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from framednet.codes import builtin_code
 from framednet.fusion import fusion_group_disambiguation
@@ -24,7 +25,7 @@ from framednet.orbifold import (
     vacuum_char_from_pieces,
 )
 from framednet.qseries import DEN, QSeries, to_num
-from oracles import leading, product_oracle
+from oracles import leading, product_oracle, self_dual_codes
 from test_acceptance import MODULAR_CODES
 
 GOLAY = builtin_code("golay24")
@@ -39,7 +40,7 @@ class TestPieces:
 
     def test_z2_golay(self):
         p = orbifold_pieces(GOLAY, "Ltilde", steps=4)
-        got = [p.z2.coeff(Fraction(-1) + k) for k in range(4)]
+        got = [p.z2.series.coeff(Fraction(-1) + k) for k in range(4)]
         assert got == [1, -24, 276, -2048]
 
     def test_z3_golay_leading(self):
@@ -47,7 +48,7 @@ class TestPieces:
         # the twisted ground state has weight d/16 = 3/2, so Z3 starts at 3/2 - d/24
         assert leading(p.z3) == (Fraction(p.d, 16) - Fraction(p.d, 24), 4096)
         assert leading(p.z3) == (Fraction(1, 2), 4096)
-        got = [p.z3.coeff(Fraction(1, 2) + Fraction(k, 2)) for k in range(3)]
+        got = [p.z3.series.coeff(Fraction(1, 2) + Fraction(k, 2)) for k in range(3)]
         assert got == [4096, 98304, 1228800]
 
     def test_z3_matches_product_form(self):
@@ -133,10 +134,10 @@ class TestSectors:
         # beta1 keeps the integer weights, beta2 the half-odd-integer ones
         p = orbifold_pieces(GOLAY, "Ltilde", steps=4)
         _, _, b1, b2 = fixed_point_sector_chars(p)
-        assert b1.coeff(Fraction(1, 2)) == 0
-        assert b2.coeff(Fraction(1, 2)) == 4096
-        assert b1.coeff(1) == 98304
-        assert b2.coeff(1) == 0
+        assert b1.series.coeff(Fraction(1, 2)) == 0
+        assert b2.series.coeff(Fraction(1, 2)) == 4096
+        assert b1.series.coeff(1) == 98304
+        assert b2.series.coeff(1) == 0
 
     def test_twisted_parity_selection_rank8(self):
         # at rank 8 the ground weight 1/2 is itself a half-integer, so the
@@ -145,7 +146,7 @@ class TestSectors:
         _, _, b1, b2 = fixed_point_sector_chars(p)
         diff = (p.z3.series - p.z4.series).half()
         assert b1.series.first_difference(diff) is None
-        assert b2.coeff(Fraction(1, 6)) == 16
+        assert b2.series.coeff(Fraction(1, 6)) == 16
 
     def test_only_the_vacuum_sector_after_beta1(self):
         # the paper's claim from computed characters: the fixed-point net has
@@ -167,14 +168,14 @@ class TestSectors:
 class TestVacuumChar:
     def test_moonshine_coefficients(self):
         ch = orbifold_vacuum_char(GOLAY, "Ltilde", steps=5)
-        got = [ch.coeff(Fraction(-1) + k) for k in range(5)]
+        got = [ch.series.coeff(Fraction(-1) + k) for k in range(5)]
         assert got == [1, 0, 196884, 21493760, 864299970]
 
     def test_moonshine_decomposition(self):
         # 196884 splits across the untwisted and twisted parity sectors
         p = orbifold_pieces(GOLAY, "Ltilde", steps=4)
         a_plus, _, b1, _ = fixed_point_sector_chars(p)
-        assert (a_plus.coeff(1), b1.coeff(1)) == (98580, 98304)
+        assert (a_plus.series.coeff(1), b1.series.coeff(1)) == (98580, 98304)
 
     def test_e8_orbifold_reproduces_itself(self):
         ch = orbifold_vacuum_char(H8, "L", steps=4)
@@ -224,6 +225,37 @@ class TestCompletion:
         orbifold_vacuum_char(code, "Ltilde", 150)
         assert pieces_steps == [top]
         assert len(orders) == 2 and max(orders) <= top + 1, orders
+
+
+class TestDrawnSelfDualCodes:
+    """The orbifold identities on doubly-even self-dual codes of length
+    8-40, drawn as Kneser neighbours of h8^k, in L and Ltilde."""
+
+    @settings(deadline=None, derandomize=True, max_examples=8)
+    @given(self_dual_codes())
+    def test_completion_matches_the_pieces_route(self, code):
+        for variant in ("L", "Ltilde"):
+            for steps in (code.length // 24 + 1, 5):
+                got = orbifold_vacuum_char(code, variant, steps).series
+                oracle = vacuum_char_from_pieces(orbifold_pieces(code, variant, steps)).series
+                assert got == oracle, f"{variant}, steps {steps}"
+
+    @settings(deadline=None, derandomize=True, max_examples=8)
+    @given(self_dual_codes())
+    def test_orbifold_of_l_has_the_character_of_ltilde(self, code):
+        assert orbifold_vacuum_char(code, "L", 5) == theta_over_eta(code, "Ltilde", 5)
+
+    @settings(deadline=None, derandomize=True, max_examples=8)
+    @given(self_dual_codes())
+    def test_fixed_point_sectors_read_as_z2xz2(self, code):
+        # lowest weights 0, 1, ceil(d/16) and a half-odd integer: beta1 has
+        # integer weight at every rank
+        d = code.length
+        for variant in ("L", "Ltilde"):
+            chars = fixed_point_sector_chars(orbifold_pieces(code, variant, 2))
+            weights = [leading(ch)[0] + Fraction(d, 24) for ch in chars]
+            assert weights[:3] == [0, 1, -(-d // 16)] and weights[3] % 1 == Fraction(1, 2), weights
+            assert fusion_group_disambiguation(weights) == "Z2xZ2", weights
 
 
 # Conway-Norton's McKay-Thompson series of the Monster class 2B,
@@ -280,13 +312,13 @@ class TestParitySplit:
         total = integer.series + half.series
         assert total.first_difference(ch.series) is None
         # a lattice-net character has only integer weights
-        assert half.series == QSeries.zero(ch.series.order)
+        assert half.series == QSeries({}, ch.series.order)
 
     def test_split_separates_twisted_sector(self):
         p = orbifold_pieces(GOLAY, "Ltilde", steps=4)
         integer, half = weight_parity_split(p.z3)
-        assert integer.coeff(1) == 98304
-        assert half.coeff(Fraction(1, 2)) == 4096
+        assert integer.series.coeff(1) == 98304
+        assert half.series.coeff(Fraction(1, 2)) == 4096
 
     def test_split_off_grid_rejected(self):
         bad = NetCharacter(QSeries({1: 1}, 100), Fraction(0))
@@ -297,7 +329,7 @@ class TestParitySplit:
 @dataclass(frozen=True)
 class DistinctnessReport:
     identical: bool
-    first_exponent_num: int | None
+    first_exponent: Fraction | None
     untwisted_coeff: int | None
     orbifold_coeff: int | None
 
@@ -306,21 +338,20 @@ def pair_distinctness_check(code, variant, steps=5):
     """Compare the lattice-net and orbifold vacuum characters termwise."""
     a = theta_over_eta(code, variant, steps)
     b = orbifold_vacuum_char(code, variant, steps)
-    n = a.series.first_difference(b.series)
-    if n is None:
+    e = a.series.first_difference(b.series)
+    if e is None:
         return DistinctnessReport(True, None, None, None)
-    e = Fraction(n, DEN)
-    return DistinctnessReport(False, n, a.coeff(e), b.coeff(e))
+    return DistinctnessReport(False, e, a.series.coeff(e), b.series.coeff(e))
 
 
 class TestDistinctness:
     def test_moonshine_differs_from_leech_net(self):
         report = pair_distinctness_check(GOLAY, "Ltilde", steps=3)
         assert not report.identical
-        assert report.first_exponent_num == 0
+        assert report.first_exponent == 0
         assert (report.untwisted_coeff, report.orbifold_coeff) == (24, 0)
 
     def test_e8_pair_identical(self):
         report = pair_distinctness_check(H8, "L", steps=3)
         assert report.identical
-        assert report.first_exponent_num is None
+        assert report.first_exponent is None

@@ -54,8 +54,10 @@ def pentagonal_coeffs(n_max):
 
 class TestConstructors:
     def test_zero_and_one(self):
-        assert QSeries.zero(10).terms == {}
-        assert QSeries.one(10).coeff(0) == 1
+        # the order is an exponent, kept as its numerator over 48
+        zero, one = QSeries.zero(10), QSeries.one(Fraction(5, 48))
+        assert zero.terms == {} and zero.order == 10 * DEN
+        assert one.coeff(0) == 1 and one.order == 5
 
     def test_off_grid_exponent_rejected(self):
         with pytest.raises(GridError):
@@ -74,8 +76,8 @@ class TestArithmetic:
         assert a + a.scale(-1) == QSeries.zero(100)
 
     def test_add_order_propagation(self):
-        a = QSeries.one(5 * DEN)
-        b = QSeries.one(3 * DEN)
+        a = QSeries.one(5)
+        b = QSeries.one(3)
         assert (a + b).order == 3 * DEN
 
     def test_add_mixed_lowest_terms(self):
@@ -134,7 +136,10 @@ class TestArithmetic:
             return QSeries(terms, data.draw(st.integers(low - DEN, low + 4 * DEN)))
 
         a, b = draw_series(), draw_series()
-        order = min(a.order + b.lowest(), b.order + a.lowest())
+        def lowest(x):  # numerator of the lowest term, the order if none
+            return min(x.terms, default=x.order)
+
+        order = min(a.order + lowest(b), b.order + lowest(a))
         full = {}
         for n1, c1 in a.terms.items():
             for n2, c2 in b.terms.items():
@@ -162,7 +167,7 @@ class TestArithmetic:
 
     def test_coeff_beyond_order_raises(self):
         with pytest.raises(ValueError):
-            QSeries.one(DEN).coeff(2)
+            QSeries.one(1).coeff(2)
 
 
 class TestEta:

@@ -88,6 +88,30 @@ def test_uses_only_public_code_surface(module):
     assert found == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "qseries"], ids=lambda p: p.name
+)
+def test_only_qseries_knows_the_series_storage(path):
+    """Only qseries knows that a series keeps its exponents and order as
+    numerators over 48, in a dict `terms`: no other module imports DEN or
+    to_num, or reads a .terms attribute.  The rest pass and read
+    exponents, so the series kernel can change inside qseries alone."""
+    tree = ast.parse(path.read_text())
+    found = [
+        f"{node.lineno}: import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in ("DEN", "to_num")
+    ]
+    found += [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("DEN", "to_num", "terms")
+    ]
+    assert found == []
+
+
 def _public_definitions(tree):
     """(name, node) of every public top-level function or class of a module,
     and every public method of those classes as Class.method."""
@@ -120,8 +144,8 @@ def test_every_public_name_has_a_caller():
 
     The match is by name alone: a method counts as called when any
     attribute of that name is read anywhere, so it cannot catch a member
-    that shares its name with another one: NetCharacter.coeff would pass
-    on QSeries.coeff's callers alone, and the other way round.
+    that shares its name with another one: a second `coeff` on another
+    class would pass on QSeries.coeff's callers alone.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     references = {
