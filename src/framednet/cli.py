@@ -46,10 +46,10 @@ POWER_D_LIMIT = 7141
 # calls with those shapes took 0.014-0.041 s at d = 3200, 0.04-0.13 s at 6400.
 EXTEND_D_LIMIT = 1600
 # a series' cost grows about as order^2: at order 1000, golay24/Ltilde
-# `char --route both` took 11 s (20 MB), of which the code route is most,
-# `char --route theta` 1.4 s (18 MB), `orbifold-char` 1.5 s (18 MB) and
-# `orbifold-char --pieces` 4.4 s (24 MB) (fresh process, median of 3,
-# 2-core Xeon, Python 3.11.7).
+# `char --route both` took 9.0-12.5 s (20 MB), of which the code route is
+# most, `char --route theta` 1.6-1.9 s (16 MB), `orbifold-char` 1.5-1.7 s
+# (16 MB) and `orbifold-char --pieces` 4.5-5.0 s (24 MB) (fresh processes,
+# 3-9 runs each, 2-core Xeon, Python 3.11.7).
 ORDER_LIMIT = 1000
 
 
@@ -283,10 +283,10 @@ def _cmd_orbifold_char(args) -> int:
         doc = orbifold.vacuum_char_from_pieces(p).series.to_json_dict()
         sectors = orbifold.fixed_point_sector_chars(p)
         doc["pieces"] = {
-            z.upper(): getattr(p, z).series.to_json_dict() for z in ("z1", "z2", "z3", "z4")
+            z.upper(): getattr(p, z).to_json_dict() for z in ("z1", "z2", "z3", "z4")
         }
         doc["sectors"] = {
-            name: s.series.to_json_dict()
+            name: s.to_json_dict()
             for name, s in zip(("untwisted+", "untwisted-", "beta1", "beta2"), sectors)
         }
         return doc

@@ -1,5 +1,7 @@
 """Characters of the building-block nets and of the lattice nets.
 
+The Ising and U(1)_4 building blocks are plain series; a NetCharacter,
+series and central charge d, is only ever a whole net's vacuum character.
 Two independent routes to the lattice-net vacuum character are kept side
 by side: the frame route, a theta sum over the binary code's words
 counted by their pair weights and divided once by eta^d (primary), and
@@ -41,7 +43,7 @@ class NetCharacter(NamedTuple):
     central_charge: Fraction
 
 
-def ising_char(h, steps: int = 5) -> NetCharacter:
+def ising_char(h, steps: int = 5) -> QSeries:
     """Character of the c = 1/2 sector of weight h in {0, 1/2, 1/16}.
 
     chi_{1/16} = q^{1/24} prod(1+q^n) = q^{1/24} prod(1-q^{2n-1})^{-1}
@@ -60,10 +62,10 @@ def ising_char(h, steps: int = 5) -> NetCharacter:
         series = even if h == 0 else -odd
     else:
         raise ValueError(f"no Ising sector of weight {h}")
-    return NetCharacter(series, Fraction(1, 2))
+    return series
 
 
-def u14_sector_char(j: int, steps: int = 5) -> NetCharacter:
+def u14_sector_char(j: int, steps: int = 5) -> QSeries:
     """Character of the rank-one net's sector j in Z4 (c = 1).
 
     chi_j = eta^{-1} * sum over n = j mod 4 of q^{n^2/8}, kept `steps`
@@ -73,8 +75,7 @@ def u14_sector_char(j: int, steps: int = 5) -> NetCharacter:
     c24 = Fraction(1, 24)
     order = order_above(U14_WEIGHTS[j] - c24, steps)
     theta = theta_form(j, 4, Fraction(1, 8), order + c24)
-    series = theta * eta_power(-1, order + U14_WEIGHTS[j])
-    return NetCharacter(series, Fraction(1))
+    return theta * eta_power(-1, order + U14_WEIGHTS[j])
 
 
 def ising_branching_mismatch(steps: int = 8) -> Optional[Fraction]:
@@ -84,14 +85,12 @@ def ising_branching_mismatch(steps: int = 8) -> Optional[Fraction]:
     chi^A_0 = chi_0^2 + chi_{1/2}^2, chi^A_2 = 2 chi_0 chi_{1/2},
     chi^A_1 = chi^A_3 = chi_{1/16}^2.
     """
-    chi0 = ising_char(0, steps + 1).series
-    chih = ising_char(HALF, steps + 1).series
-    chis = ising_char(SIXTEENTH, steps + 1).series
+    chi0, chih, chis = (ising_char(h, steps + 1) for h in (0, HALF, SIXTEENTH))
     pairs = [
-        (u14_sector_char(0, steps).series, chi0 * chi0 + chih * chih),
-        (u14_sector_char(2, steps).series, (chi0 * chih).scale(2)),
-        (u14_sector_char(1, steps).series, chis * chis),
-        (u14_sector_char(3, steps).series, chis * chis),
+        (u14_sector_char(0, steps), chi0 * chi0 + chih * chih),
+        (u14_sector_char(2, steps), (chi0 * chih).scale(2)),
+        (u14_sector_char(1, steps), chis * chis),
+        (u14_sector_char(3, steps), chis * chis),
     ]
     diffs = (lhs.first_difference(rhs) for lhs, rhs in pairs)
     return next((e for e in diffs if e is not None), None)

@@ -1,9 +1,10 @@
 """The order-2 twisted orbifold of a lattice net.
 
-The four trace functions Z1..Z4 of the orbifold construction, the sector
-characters of the fixed-point net, and the orbifold vacuum character
-(Z1 + Z2)/2 + beta1.  The twisted sector is one expansion: Z4 is Z3
-under q^{1/2} -> -q^{1/2}, and beta1 is the integer-weight part of Z3.
+The four trace functions Z1..Z4 of the orbifold construction and the
+sector characters of the fixed-point net, as plain series, and the orbifold
+vacuum character (Z1 + Z2)/2 + beta1, a NetCharacter like the lattice
+net's.  The twisted sector is one expansion: Z4 is Z3 under
+q^{1/2} -> -q^{1/2}, and beta1 is the integer-weight part of Z3.
 The orbifold net is holomorphic, so its vacuum character is completed
 like the theta route's from the pieces expanded only d/24 q-steps; read
 off pieces expanded to full order it is the tests' oracle and what
@@ -17,14 +18,8 @@ from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 from .codes import BinaryCode, check_holomorphic_hypotheses
-from .netchar import (
-    HALF,
-    NetCharacter,
-    _assert_vacuum,
-    _holomorphic_char,
-    theta_over_eta,
-)
-from .qseries import eta_power, order_above, product_form
+from .netchar import HALF, NetCharacter, _assert_vacuum, _holomorphic_char, theta_over_eta
+from .qseries import QSeries, eta_power, order_above, product_form
 
 
 class OrbifoldPieces(NamedTuple):
@@ -35,10 +30,10 @@ class OrbifoldPieces(NamedTuple):
     """
 
     d: int
-    z1: NetCharacter
-    z2: NetCharacter
-    z3: NetCharacter
-    z4: NetCharacter
+    z1: QSeries
+    z2: QSeries
+    z3: QSeries
+    z4: QSeries
 
 
 def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldPieces:
@@ -55,27 +50,17 @@ def orbifold_pieces(code: BinaryCode, variant: str, steps: int = 5) -> OrbifoldP
     """
     check_holomorphic_hypotheses(code)
     d = code.length
-    z1 = theta_over_eta(code, variant, steps)
+    z1 = theta_over_eta(code, variant, steps).series
     # each product is kept `steps` q-steps above its constant term
     exact = order_above(0, steps)
-    c = Fraction(d)
     z2 = product_form(1, 2, d, exact).shift(Fraction(-d, 24))
     ground = Fraction(d, 48)
     z3 = product_form(HALF, 1, -d, exact).shift(ground).scale(1 << (d // 2))
     even, odd = z3.half_steps(ground)
-    z4 = even - odd
-    return OrbifoldPieces(
-        d,
-        NetCharacter(z1.series, c),
-        NetCharacter(z2, c),
-        NetCharacter(z3, c),
-        NetCharacter(z4, c),
-    )
+    return OrbifoldPieces(d, z1, z2, z3, even - odd)
 
 
-def fixed_point_sector_chars(
-    p: OrbifoldPieces,
-) -> Tuple[NetCharacter, NetCharacter, NetCharacter, NetCharacter]:
+def fixed_point_sector_chars(p: OrbifoldPieces) -> Tuple[QSeries, QSeries, QSeries, QSeries]:
     """Characters of the four sectors of the fixed-point net.
 
     Untwisted pair (Z1 +- Z2)/2; twisted pair beta1, beta2, where beta1
@@ -83,16 +68,8 @@ def fixed_point_sector_chars(
     and beta2 the rest.  That is the member of (Z3 +- Z4)/2 of integer
     weight.
     """
-    c = Fraction(p.d)
-    a_plus = (p.z1.series + p.z2.series).half()
-    a_minus = (p.z1.series - p.z2.series).half()
-    b1, b2 = p.z3.series.half_steps(Fraction(-p.d, 24))
-    return (
-        NetCharacter(a_plus, c),
-        NetCharacter(a_minus, c),
-        NetCharacter(b1, c),
-        NetCharacter(b2, c),
-    )
+    b1, b2 = p.z3.half_steps(Fraction(-p.d, 24))
+    return (p.z1 + p.z2).half(), (p.z1 - p.z2).half(), b1, b2
 
 
 def orbifold_vacuum_char(code: BinaryCode, variant: str, steps: int = 5) -> NetCharacter:
@@ -114,6 +91,6 @@ def orbifold_vacuum_char(code: BinaryCode, variant: str, steps: int = 5) -> NetC
 def vacuum_char_from_pieces(p: OrbifoldPieces) -> NetCharacter:
     """The orbifold vacuum character (Z1 + Z2)/2 + beta1 of computed pieces."""
     a_plus, _, b1, _ = fixed_point_sector_chars(p)
-    series = a_plus.series + b1.series
+    series = a_plus + b1
     _assert_vacuum(series, p.d)
     return NetCharacter(series, Fraction(p.d))

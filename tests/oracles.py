@@ -12,7 +12,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from framednet import codes
-from framednet.codes import BinaryCode, Z4Code, builtin_code
+from framednet.codes import BinaryCode, Z4Code, binary_code_from_text, builtin_code
 from framednet.qseries import DEN, QSeries
 
 
@@ -53,9 +53,9 @@ def product_oracle(sign, power, half, order_num):
     return QSeries({n2 * (DEN // 2): c for n2, c in coeffs.items()}, order_num)
 
 
-def leading(ch):
-    """The lowest exponent of a character's series and its coefficient."""
-    return ch.series.items()[0]
+def leading(series):
+    """The lowest exponent of a series and its coefficient."""
+    return series.items()[0]
 
 
 def binary_codewords(code):
@@ -161,6 +161,102 @@ def _h8_plus_d16_plus():
 def _d24_plus():
     """d24+: the blocks 1111 at pair offsets 0-20 and the glue 0101...01."""
     return _d_plus(24)
+
+
+# The other five doubly-even self-dual codes of length 24 (Pless and Sloane
+# 1975), named by the components of their weight-4 words: generators in
+# reduced row echelon form of codes a seeded Kneser walk from h8^3 reached.
+LENGTH24_TEXTS = {
+    "d4^6": """\
+100000000000011001101101
+010000000000110100001111
+001000000000010111101010
+000100000000001011110110
+000010000000011010101101
+000001000000011100110011
+000000100000000000010101
+000000010000011111001010
+000000001000100111010011
+000000000100001111110100
+000000000010110011011100
+000000000001001100111011
+""",
+    "d6^4": """\
+100100010001000001011001
+010100000000001101001011
+001100010001001100010010
+000010000001000000000011
+000001010000001101001011
+000000100001001100011101
+000000001001011001011010
+000000000101010101011010
+000000000011001101010101
+000000000000111100000000
+000000000000000011001100
+000000000000000000110011
+""",
+    "d8^3": """\
+100100110000001100010001
+010100000000001100011110
+001100110000000000001111
+000010100000001100011110
+000001010000001100011110
+000000001001011000001111
+000000000101010100001111
+000000000011001100000000
+000000000000111100000000
+000000000000000010011001
+000000000000000001010101
+000000000000000000110011
+""",
+    "d10e7^2": """\
+100000010000000101101011
+010000000000110100001111
+001000010000001000100000
+000100000000000101000100
+000010000000000001000110
+000001010000001101001011
+000000100000001101101011
+000000001000100100011111
+000000000100010100011111
+000000000010110000010000
+000000000001000001000101
+000000000000000011001100
+""",
+    "d12^2": """\
+100000000000000010110000
+010000000000110011100101
+001000000000110000001000
+000100000000000001110000
+000010000000110000000010
+000001000000111000000000
+000000100100011000111010
+000000010100110000000000
+000000001100101000111010
+000000000010110011010101
+000000000001000000110001
+000000000000000100110100
+""",
+}
+
+
+def length24_code(name):
+    """The code of LENGTH24_TEXTS called `name`."""
+    return binary_code_from_text(LENGTH24_TEXTS[name])
+
+
+def weight_four_signature(code):
+    """(A_4, rank): the number of words of weight 4 and the F2 rank of their
+    span, from every codeword.  It tells the nine codes of length 24 apart."""
+    basis = []  # reduced rows with distinct leading bits, highest first
+    fours = [w for w in binary_codewords(code) if sum(w) == 4]
+    for w in fours:
+        x = int("".join(map(str, w)), 2)
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis = sorted([*basis, x], reverse=True)
+    return len(fours), len(basis)
 
 
 @st.composite

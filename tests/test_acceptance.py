@@ -12,15 +12,25 @@ character to 31 coefficients of every route at ranks 8, 16, 24 and 32.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
 
-from framednet.codes import BinaryCode, builtin_code
+from framednet.codes import BinaryCode, builtin_code, validate_binary_code
 from framednet.netchar import _over_eta, frame_char, theta_over_eta, theta_series
 from framednet.orbifold import orbifold_vacuum_char
 from framednet.selftest import CRITERIA, LEECH_EXPANSION, MOONSHINE_EXPANSION
-from oracles import _d16_plus, _d24_plus, _h8_cubed, _h8_plus_d16_plus, _h8_squared
+from oracles import (
+    LENGTH24_TEXTS,
+    _d16_plus,
+    _d24_plus,
+    _h8_cubed,
+    _h8_plus_d16_plus,
+    _h8_squared,
+    length24_code,
+    weight_four_signature,
+)
 
 
 def _mul(a, b, n):
@@ -104,6 +114,7 @@ MODULAR_CODES = {
     "h8+h8+h8": _h8_cubed,
     "h8+d16+": _h8_plus_d16_plus,
     "d24+": _d24_plus,
+    **{name: partial(length24_code, name) for name in LENGTH24_TEXTS},
     "rm25": _reed_muller_2_5,
 }
 
@@ -126,8 +137,50 @@ MODULAR_C1 = {
     "h8+h8+h8": {"L": (0, -384), "Ltilde": (-384, -576)},
     "h8+d16+": {"L": (0, -384), "Ltilde": (-384, -576)},
     "d24+": {"L": (384, -192), "Ltilde": (-192, -480)},
+    "d4^6": {"L": (-576, -672), "Ltilde": (-672, -720)},
+    "d6^4": {"L": (-480, -624), "Ltilde": (-624, -696)},
+    "d8^3": {"L": (-384, -576), "Ltilde": (-576, -672)},
+    "d10e7^2": {"L": (-288, -528), "Ltilde": (-528, -648)},
+    "d12^2": {"L": (-192, -480), "Ltilde": (-480, -624)},
     "rm25": {"L": (-896, -960), "Ltilde": (-960, -992)},
 }
+
+# (A_4, rank of the span of the weight-4 words) of the nine doubly-even
+# self-dual codes of length 24, all different: so they are nine classes.
+LENGTH24_SIGNATURES = {
+    "golay24": (0, 0),
+    "d4^6": (6, 6),
+    "d6^4": (12, 8),
+    "d8^3": (18, 9),
+    "d10e7^2": (24, 10),
+    "d12^2": (30, 10),
+    "h8+d16+": (42, 11),
+    "h8+h8+h8": (42, 12),
+    "d24+": (66, 11),
+}
+
+
+@pytest.mark.parametrize("name", list(LENGTH24_SIGNATURES))
+def test_length24_signature(name):
+    code = MODULAR_CODES[name]()
+    report = validate_binary_code(code)
+    assert code.length == 24 and report.doubly_even and report.self_dual
+    assert weight_four_signature(code) == LENGTH24_SIGNATURES[name]
+
+
+def test_nine_length24_classes():
+    assert len(set(LENGTH24_SIGNATURES.values())) == 9
+
+
+def test_only_golay24_orbifold_has_no_weight_one_state():
+    # the orbifold of Ltilde has 4 A_4 weight-one states
+    weight_one = {
+        name: orbifold_vacuum_char(MODULAR_CODES[name](), "Ltilde", 1).series.coeff(0)
+        for name in LENGTH24_SIGNATURES
+    }
+    assert weight_one == {name: 4 * a4 for name, (a4, _) in LENGTH24_SIGNATURES.items()}
+    assert [name for name, count in weight_one.items() if count == 0] == ["golay24"]
+
 
 ROUTES = {
     "frame": frame_char,

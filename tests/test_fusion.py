@@ -54,6 +54,7 @@ from oracles import (
     z4_dual_code,
     z4_generators,
 )
+from test_acceptance import MODULAR_CODES
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
@@ -528,6 +529,28 @@ def _z4_codes(draw):
     return Z4Code(d, gens or [(0,) * d])
 
 
+@st.composite
+def _integral_generator_codes(draw):
+    """A random Z4 code of length d <= 9 whose generators each have integer
+    weight, |lo| + 4 |hi & ~lo| = 0 (mod 8): u = 0, 4 or 8 unit symbols
+    and a number of 2s of the parity of u / 4, so that only the pairs of
+    generators decide.  The rows with u = 0 are doubled."""
+    d = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        units = draw(st.sampled_from([u for u in (0, 4, 8) if u + u // 4 % 2 <= d]))
+        parity = units // 4 % 2
+        twos = parity + 2 * draw(st.integers(0, (d - units - parity) // 2))
+        places = draw(st.permutations(range(d)))
+        row = [0] * d
+        for i in places[:units]:
+            row[i] = draw(st.sampled_from((1, 3)))
+        for i in places[units:units + twos]:
+            row[i] = 2
+        rows.append(row)
+    return Z4Code(d, rows)
+
+
 class TestDualCodes:
     @settings(deadline=None, derandomize=True, max_examples=300)
     @given(_z4_codes())
@@ -607,6 +630,11 @@ class TestAgainstTupleOracles:
         assert non_integral_element(H) == all_pairs_non_integral_element(H)
 
     @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(_integral_generator_codes())
+    def test_pairs_decide_on_integral_generators(self, H):
+        assert non_integral_element(H) == all_pairs_non_integral_element(H)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
     @given(_z4_codes())
     # the shapes of `extend`'s timing inputs at d = 1600, scaled to d = 12
     @example(sigma2_code(6, zero_variant=True))  # 2222 on pairs i and i + 1
@@ -643,6 +671,30 @@ class TestDrawnSelfDualCodes:
         for variant in ("L", "Ltilde"):
             framed = framed_from_code(delta_code(code, variant))
             assert framed.k + framed.l == 2 * code.length
+
+
+# framed (k, l) of the delta codes of the nine codes of length 24, in the
+# coordinates of test_acceptance.MODULAR_CODES
+LENGTH24_FRAMED = {
+    "golay24": {"L": (37, 11), "Ltilde": (36, 12)},
+    "d4^6": {"L": (38, 10), "Ltilde": (37, 11)},
+    "d6^4": {"L": (43, 5), "Ltilde": (42, 6)},
+    "d8^3": {"L": (44, 4), "Ltilde": (43, 5)},
+    "d10e7^2": {"L": (41, 7), "Ltilde": (40, 8)},
+    "d12^2": {"L": (38, 10), "Ltilde": (37, 11)},
+    "h8+d16+": {"L": (46, 2), "Ltilde": (45, 3)},
+    "h8+h8+h8": {"L": (45, 3), "Ltilde": (44, 4)},
+    "d24+": {"L": (47, 1), "Ltilde": (46, 2)},
+}
+
+
+@pytest.mark.parametrize("name", list(LENGTH24_FRAMED))
+def test_length24_framed(name):
+    code = MODULAR_CODES[name]()
+    for variant in ("L", "Ltilde"):
+        framed = framed_from_code(delta_code(code, variant))
+        assert (framed.k, framed.l) == LENGTH24_FRAMED[name][variant]
+        assert framed.k + framed.l == 48
 
 
 class TestDisambiguation:

@@ -176,3 +176,32 @@ def test_parses_at_the_declared_python_floor(path):
     floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
     assert floor, "requires-python not found"
     ast.parse(path.read_text(), feature_version=tuple(map(int, floor.groups())))
+
+
+def _enclosing_calls(tree, name):
+    """The top-level function (or "<module>") around each call of `name`."""
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    yield where
+
+
+def test_net_character_is_only_a_vacuum_character():
+    """A NetCharacter, series and central charge, is only ever a code's whole
+    vacuum character: the lattice nets' through `_over_eta` and
+    `_holomorphic_char`, the orbifold's read off its pieces.  Building blocks,
+    orbifold traces and sectors are plain series."""
+    built = {
+        (path.stem, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where in _enclosing_calls(ast.parse(path.read_text()), "NetCharacter")
+    }
+    assert built == {
+        ("netchar", "_over_eta"),
+        ("netchar", "_holomorphic_char"),
+        ("orbifold", "vacuum_char_from_pieces"),
+    }
