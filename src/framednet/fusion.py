@@ -190,9 +190,10 @@ class FramedStructure(NamedTuple):
 def framed_structure(decomp: Sequence[Tuple[Label, int]]) -> FramedStructure:
     """The two-step extension data (k, l) of an Ising-labelled decomposition.
 
-    k counts the inner labels (no 1/16 entry; each must have multiplicity
-    one) as log2 of their number; l is the F2 rank of the 1/16-incidence
-    patterns, and the sign matrix is their reduced row-echelon basis.
+    The inner labels (no 1/16 entry; each must have multiplicity one), read
+    with 1/2 as 1, must be the words of a binary code C, and k = dim C; l is
+    the F2 rank of the 1/16-incidence patterns, and the sign matrix is their
+    reduced row-echelon basis.
     """
     if not decomp:
         raise FusionError("empty decomposition")
@@ -201,7 +202,7 @@ def framed_structure(decomp: Sequence[Tuple[Label, int]]) -> FramedStructure:
     mults = {tuple(label): mult for label, mult in decomp}
     if mults.get(vacuum) != 1:
         raise FusionError("decomposition must contain the all-0 label once")
-    inner = 0
+    inner = set()
     patterns = set()
     for label, mult in decomp:
         if len(label) != num_factors:
@@ -212,12 +213,12 @@ def framed_structure(decomp: Sequence[Tuple[Label, int]]) -> FramedStructure:
         else:
             if mult != 1:
                 raise FusionError(f"inner label {label} has multiplicity {mult}")
-            inner += 1
-    k = inner.bit_length() - 1
-    if 1 << k != inner:
-        raise FusionError(f"inner label count {inner} is not a power of two")
+            inner.add(tuple(1 if e == HALF else 0 for e in label))
+    inner_code = BinaryCode(num_factors, inner)
+    if len(inner_code) != len(inner):
+        raise FusionError(f"{len(inner)} inner labels span {len(inner_code)}: not a linear code")
     matrix = BinaryCode(num_factors, patterns).generators
-    return FramedStructure(num_factors, k, len(matrix), matrix)
+    return FramedStructure(num_factors, inner_code.dimension, len(matrix), matrix)
 
 
 def framed_from_code(G: Z4Code) -> FramedStructure:

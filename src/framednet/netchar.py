@@ -1,7 +1,8 @@
 """Characters of the building-block nets and of the lattice nets.
 
-The Ising and U(1)_4 building blocks are plain series; a NetCharacter,
-series and central charge d, is only ever a whole net's vacuum character.
+The Ising and U(1)_4 building blocks are plain series; a NetCharacter is
+only ever a whole net's vacuum character, and `_vacuum_character` alone
+builds one, once its series starts 1 * q^{-d/24}, which fixes c = d.
 Two independent routes to the lattice-net vacuum character are kept side
 by side: the frame route, a theta sum over the binary code's words
 counted by their pair weights and divided once by eta^d (primary), and
@@ -37,10 +38,9 @@ U14_WEIGHTS = (Fraction(0), Fraction(1, 8), HALF, Fraction(1, 8))
 
 
 class NetCharacter(NamedTuple):
-    """A specialized character: q-expansion plus central charge."""
+    """A net's vacuum character, its q-expansion checked by `_vacuum_character`."""
 
     series: QSeries
-    central_charge: Fraction
 
 
 def ising_char(h, steps: int = 5) -> QSeries:
@@ -186,17 +186,18 @@ def lattice_net_char(group: Z4Code, steps: int = 5) -> NetCharacter:
 def _over_eta(theta: QSeries, d: int, steps: int) -> NetCharacter:
     """The vacuum character theta / eta^d, kept `steps` q-steps above
     q^{-d/24}; theta must be exact below q^{steps + 1}."""
-    series = theta * eta_power(-d, order_above(Fraction(-d, 24), steps))
-    _assert_vacuum(series, d)
-    return NetCharacter(series, Fraction(d))
+    return _vacuum_character(theta * eta_power(-d, order_above(Fraction(-d, 24), steps)), d)
 
 
-def _assert_vacuum(series: QSeries, d: int) -> None:
+def _vacuum_character(series: QSeries, d: int) -> NetCharacter:
+    """The vacuum character of a net of central charge d: `series` must
+    start 1 * q^{-d/24} and have no negative coefficient."""
     terms = series.items()
     if terms[:1] != [(Fraction(-d, 24), 1)]:
         raise AssertionError(f"vacuum normalization failed: leading {series}")
     if any(c < 0 for _, c in terms):
         raise AssertionError("negative coefficient in a vacuum character")
+    return NetCharacter(series)
 
 
 # ---------------------------------------------------------------------------
@@ -275,5 +276,4 @@ def _holomorphic_char(form: QSeries, d: int, steps: int) -> NetCharacter:
     chi = eisenstein_e4(bound) * eta_power(-8, bound - Fraction(1, 3))
     powers = {(k,): c for (k, _), c in cs.items()}
     series = _sum_of_products(powers, [chi], order_above(Fraction(-d, 24), steps))
-    _assert_vacuum(series, d)
-    return NetCharacter(series, Fraction(d))
+    return _vacuum_character(series, d)

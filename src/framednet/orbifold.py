@@ -2,9 +2,10 @@
 
 The four trace functions Z1..Z4 of the orbifold construction and the
 sector characters of the fixed-point net, as plain series, and the orbifold
-vacuum character (Z1 + Z2)/2 + beta1, a NetCharacter like the lattice
-net's.  The twisted sector is one expansion: Z4 is Z3 under
-q^{1/2} -> -q^{1/2}, and beta1 is the integer-weight part of Z3.
+vacuum character (Z1 + Z2)/2 + beta1, checked and wrapped by netchar's
+`_vacuum_character` like the lattice net's.  The twisted sector is one
+expansion: Z4 is Z3 under q^{1/2} -> -q^{1/2}, and beta1 is the
+integer-weight part of Z3.
 The orbifold net is holomorphic, so its vacuum character is completed
 like the theta route's from the pieces expanded only d/24 q-steps; read
 off pieces expanded to full order it is the tests' oracle and what
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 from .codes import BinaryCode, check_holomorphic_hypotheses
-from .netchar import HALF, NetCharacter, _assert_vacuum, _holomorphic_char, theta_over_eta
+from .netchar import HALF, NetCharacter, _holomorphic_char, _vacuum_character, theta_over_eta
 from .qseries import QSeries, eta_power, order_above, product_form
 
 
@@ -91,6 +92,4 @@ def orbifold_vacuum_char(code: BinaryCode, variant: str, steps: int = 5) -> NetC
 def vacuum_char_from_pieces(p: OrbifoldPieces) -> NetCharacter:
     """The orbifold vacuum character (Z1 + Z2)/2 + beta1 of computed pieces."""
     a_plus, _, b1, _ = fixed_point_sector_chars(p)
-    series = a_plus + b1
-    _assert_vacuum(series, p.d)
-    return NetCharacter(series, Fraction(p.d))
+    return _vacuum_character(a_plus + b1, p.d)

@@ -85,9 +85,6 @@ class QSeries:
             return NotImplemented
         return self.order == other.order and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.order, tuple(sorted(self.terms.items()))))
-
     def agrees_with(self, other: "QSeries") -> bool:
         """Termwise equality up to the smaller of the two orders."""
         return self.first_difference(other) is None

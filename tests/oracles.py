@@ -3,7 +3,9 @@ coded independently of framednet.qseries.product_form; codewords and the
 glue word built from their definitions, independently of framednet.codes;
 a Z4 code's generators as symbol tuples, its dual and its weight check
 over every pair of generators; codes shared by the acceptance and fusion
-tests; and random doubly-even self-dual codes.
+tests; random doubly-even self-dual codes; the structure codes (C, D) of a
+framed lattice net; and the replication identities of J and T_2B, in
+integers.
 """
 
 import math
@@ -279,3 +281,79 @@ def self_dual_codes(draw, max_k=5, steps=3):
         even = [g for g in code.generators if g not in odd]
         code = BinaryCode(d, [*even, *(tuple(a ^ b for a, b in zip(g, odd[0])) for g in odd[1:]), v])
     return code
+
+
+def _packed(row):
+    """A binary row as an int, coordinate i at bit i."""
+    return sum(b << i for i, b in enumerate(row))
+
+
+def structure_codes(G):
+    """The structure codes (C, D) of the lattice net of the Z4 code G over
+    its 2d Ising factors, coordinate i over the factor pair (2i, 2i + 1)
+    (Dong-Griess-Hoehn, Comm. Math. Phys. 193, 1998).  C holds the inner
+    labels with 1/2 read as 1: a symbol 0 branches to 00 or 11 and a 2 to
+    01 or 10, so C is spanned by 11 on each pair and 01 on the pairs of each
+    t with 2t in G, the rows of G's two layer.  D holds the 1/16 patterns,
+    G mod 2 with each coordinate doubled."""
+    d = G.length
+    pairs = [[int(j // 2 == i) for j in range(2 * d)] for i in range(d)]
+    twos = [[j % 2 & t >> j // 2 for j in range(2 * d)] for t in G._twos.values()]
+    doubled = [[b for b in row for _ in range(2)] for row in G.residue_code().generators]
+    return BinaryCode(2 * d, pairs + twos), BinaryCode(2 * d, doubled)
+
+
+def triply_even_by_generators(code):
+    """Whether the code is triply even, by its generators: weights 0 mod 8,
+    pair intersections 0 mod 4 and triple intersections even.  The weight
+    of a sum is the sum of the weights, less twice the pair intersections,
+    plus four times the triple ones, less eight times the quadruple ones."""
+    rows = [_packed(g) for g in code.generators]
+    return (
+        all(r.bit_count() % 8 == 0 for r in rows)
+        and all((a & b).bit_count() % 4 == 0 for a, b in combinations(rows, 2))
+        and all((a & b & c).bit_count() % 2 == 0 for a, b, c in combinations(rows, 3))
+    )
+
+
+def packed_codewords(code):
+    """Every word of a binary code as an int: the sums of every subset of
+    its generators."""
+    words = [0]
+    for g in map(_packed, code.generators):
+        words += [w ^ g for w in words]
+    return words
+
+
+def orthogonal(a, b):
+    """Whether every generator of code a is orthogonal to every one of b."""
+    rows = [_packed(g) for g in b.generators]
+    return all((_packed(g) & r).bit_count() % 2 == 0 for g in a.generators for r in rows)
+
+
+def replication_failures(a, b, p):
+    """The m at which the p-replication identity of f = q^-1 + sum a_n q^n
+    (a[n] = a_n, a[0] = 0) with p-plicate f_p = q^-1 + sum b_n q^n fails.
+
+    p = 2: f^2 - 2 a_1 = f_2(2 tau) + f(tau/2) + f((tau+1)/2), on q^m:
+    2 a_{2m} + [2 | m] b_{m/2} = 2 a_{m+1} + sum_{i=1}^{m-1} a_i a_{m-i}.
+    p = 3: f^3 - 3 a_1 f - 3 a_2 = f_3(3 tau) + sum_{j<3} f((tau+j)/3):
+    3 a_{3m} + [3 | m] b_{m/3} = 3 a_{m+2} + 3 sum_{i+j=m+1} a_i a_j
+    + sum_{i+j+k=m} a_i a_j a_k - 3 a_1 a_m.
+    (Conway-Norton, Bull. LMS 11, 1979; Norton, "More on moonshine", 1984.)
+    Every m whose coefficients a holds is checked: 1 <= m < len(a) / p.
+    """
+    def square(m):  # sum over i + j = m, i, j >= 1, of a_i a_j
+        return sum(a[i] * a[m - i] for i in range(1, m))
+
+    failures = []
+    for m in range(1, (len(a) - 1) // p + 1):
+        lhs = p * a[p * m] + (b[m // p] if m % p == 0 else 0)
+        if p == 2:
+            rhs = 2 * a[m + 1] + square(m)
+        else:
+            cube = sum(a[i] * square(m - i) for i in range(1, m - 1))
+            rhs = 3 * a[m + 2] + 3 * square(m + 1) + cube - 3 * a[1] * a[m]
+        if lhs != rhs:
+            failures.append(m)
+    return failures

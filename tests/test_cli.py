@@ -674,6 +674,14 @@ class TestFramed:
         assert code == 1 and out == ""
         assert err == f"validation failure: {message}\n"
 
+    def test_inner_labels_must_form_a_linear_code(self, capsys, tmp_path):
+        # 110 + 101 = 011 is missing: four inner labels that span eight words
+        path = tmp_path / "d.txt"
+        path.write_text("0,0,0\n1/2,1/2,0\n1/2,0,1/2\n1/2,1/2,1/2\n1/16,1/16,0\n")
+        code, out, err = run(capsys, "framed", "--decomp", str(path))
+        assert code == 1 and out == ""
+        assert err == "validation failure: 4 inner labels span 8: not a linear code\n"
+
     def test_repeated_twisted_label_counts_once(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0,0 1\n1/16,1/16 3\n1/16,1/16 4\n")

@@ -553,15 +553,17 @@ class TestDeltaProfile:
         assert out.stdout.strip() == "False"
 
     @staticmethod
-    def _framednet_modules_after(script):
-        """framednet modules loaded by a fresh interpreter that runs script.
+    def _framednet_modules_after(script, stdlib=()):
+        """framednet modules, and those of the modules `stdlib` names, loaded
+        by a fresh interpreter that runs script.
 
-        Only framednet's own modules are compared: what `site` imports
-        differs from one interpreter to the next."""
+        Only framednet's own modules are listed, and the others by name:
+        what `site` imports differs from one interpreter to the next."""
         src = str(Path(codes.__file__).resolve().parents[1])
         probe = (
             "import contextlib, io, sys\n" + script + "\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'framednet')))"
+            "print(' '.join(sorted(m for m in sys.modules"
+            f" if m.split('.')[0] == 'framednet' or m in {tuple(stdlib)!r})))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
@@ -591,17 +593,26 @@ class TestDeltaProfile:
         assert loaded == {"framednet", "framednet.cli"}
 
     @pytest.mark.parametrize(
-        "argv, unloaded",
+        "argv, modules, stdlib",
         [
-            (["framed", "--code", "builtin:h8"], {"netchar", "orbifold", "qseries"}),
-            (["char", "--route", "code", "--code", "builtin:h8"], {"fusion", "orbifold"}),
+            (["framed", "--code", "builtin:h8"], {"codes", "fusion"}, ()),
+            (
+                ["char", "--route", "code", "--code", "builtin:h8"],
+                {"codes", "netchar", "qseries"},
+                (),
+            ),
+            # `frame`'s set-up path: no Fraction, so no fractions, decimal or numbers
+            (["validate-code", "--code", "builtin:golay24"], {"codes"}, ("fractions", "decimal")),
         ],
-        ids=["framed", "char-code"],
+        ids=["framed", "char-code", "validate-code"],
     )
-    def test_command_loads_only_what_it_runs(self, argv, unloaded):
-        loaded = self._framednet_modules_after(self._cli_script(*argv))
+    def test_command_loads_only_what_it_runs(self, argv, modules, stdlib):
+        """The command loads framednet.cli and no framednet module besides
+        `modules`, and none of `stdlib` that a bare interpreter lacks."""
+        loaded = self._framednet_modules_after(self._cli_script(*argv), stdlib)
+        bare = self._framednet_modules_after("", stdlib)
         assert "framednet.cli" in loaded
-        assert not loaded & {f"framednet.{m}" for m in unloaded}
+        assert loaded - bare <= {"framednet", "framednet.cli", *(f"framednet.{m}" for m in modules)}
 
 
 class TestRank32:

@@ -50,7 +50,11 @@ from oracles import (
     _h8_plus_d16_plus,
     _h8_squared,
     all_pairs_non_integral_element,
+    orthogonal,
+    packed_codewords,
     self_dual_codes,
+    structure_codes,
+    triply_even_by_generators,
     z4_dual_code,
     z4_generators,
 )
@@ -673,6 +677,55 @@ class TestDrawnSelfDualCodes:
             assert framed.k + framed.l == 2 * code.length
 
 
+def _assert_dgh_structure(G):
+    """The structure codes of a holomorphic framed net (Dong-Griess-Hoehn):
+    D triply even, C even and C = D-perp, with (dim C, dim D) the (k, l) and
+    D's reduced basis the sign matrix that framed_from_code reads off G."""
+    C, D = structure_codes(G)
+    assert triply_even_by_generators(D)
+    if D.dimension <= 16:
+        assert all(w.bit_count() % 8 == 0 for w in packed_codewords(D))
+    assert all(sum(g) % 2 == 0 for g in C.generators)
+    assert orthogonal(C, D) and C.dimension + D.dimension == C.length
+    fs = framed_from_code(G)
+    assert (C.dimension, D.dimension) == (fs.k, fs.l)
+    assert D.generators == fs.sign_matrix
+
+
+class TestStructureCodes:
+    """DGH's three conditions on the structure codes (C, D), built from the
+    delta code's two layers, on every named code and on drawn ones."""
+
+    @pytest.mark.parametrize("variant", ["L", "Ltilde"])
+    @pytest.mark.parametrize("name", list(MODULAR_CODES))
+    def test_named_codes(self, name, variant):
+        _assert_dgh_structure(delta_code(MODULAR_CODES[name](), variant))
+
+    @settings(deadline=None, derandomize=True, max_examples=8)
+    @given(self_dual_codes())
+    def test_drawn_codes(self, code):
+        for variant in ("L", "Ltilde"):
+            _assert_dgh_structure(delta_code(code, variant))
+
+    @pytest.mark.parametrize("variant, dims", [("L", (37, 11)), ("Ltilde", (36, 12))])
+    def test_golay24(self, variant, dims):
+        C, D = structure_codes(delta_code(builtin_code("golay24"), variant))
+        assert (C.dimension, D.dimension) == dims
+
+    @pytest.mark.parametrize(
+        "third, triply_even",
+        [("1100110011001100", True), ("1000111011101000", False)],
+        ids=["even-triple", "odd-triple"],
+    )
+    def test_triple_intersections_count(self, third, triply_even):
+        # weights 8 and pair intersections 4 either way; with a triple
+        # intersection of weight 1 the sum of the three has weight 12
+        rows = ["1111111100000000", "1111000011110000", third]
+        code = BinaryCode(16, [[int(c) for c in r] for r in rows])
+        assert triply_even_by_generators(code) is triply_even
+        assert all(w.bit_count() % 8 == 0 for w in packed_codewords(code)) is triply_even
+
+
 # framed (k, l) of the delta codes of the nine codes of length 24, in the
 # coordinates of test_acceptance.MODULAR_CODES
 LENGTH24_FRAMED = {
@@ -816,6 +869,38 @@ class TestFramedStructure:
         decomp = [((Fraction(0),) * 2, 1), ((HALF, HALF), 2)]
         with pytest.raises(FusionError):
             framed_structure(decomp)
+
+    def test_inner_labels_must_form_a_linear_code(self):
+        zero = Fraction(0)
+        decomp = [
+            ((zero, zero, zero), 1),
+            ((HALF, HALF, zero), 1),
+            ((HALF, zero, HALF), 1),
+            ((HALF, HALF, HALF), 1),  # 011 = 110 + 101 is missing
+            ((SIXTEENTH, SIXTEENTH, zero), 1),
+        ]
+        with pytest.raises(FusionError, match="4 inner labels span 8: not a linear code"):
+            framed_structure(decomp)
+        decomp[3] = ((zero, HALF, HALF), 1)
+        fs = framed_structure(decomp)
+        assert (fs.k, fs.l) == (2, 1)
+
+    def test_inner_label_count_alone_is_not_enough(self):
+        # three inner labels, not a power of two, span four words
+        decomp = [((Fraction(0),) * 2, 1), ((HALF, HALF), 1), ((HALF, Fraction(0)), 1)]
+        with pytest.raises(FusionError, match="3 inner labels span 4"):
+            framed_structure(decomp)
+
+    def test_repeated_vacuum_is_not_two_inner_labels(self):
+        vacuum = (Fraction(0),) * 4
+        fs = framed_structure([(vacuum, 1), (vacuum, 1)])
+        assert (fs.k, fs.l) == (0, 0)
+
+    def test_repeated_inner_label_does_not_stand_for_a_missing_one(self):
+        zero = Fraction(0)
+        decomp = [((zero,) * 3, 1), ((HALF, HALF, zero), 1), ((HALF, zero, HALF), 1)]
+        with pytest.raises(FusionError, match="3 inner labels span 4"):
+            framed_structure([*decomp, ((HALF, HALF, zero), 1)])
 
     def test_requires_vacuum_label(self):
         with pytest.raises(FusionError):

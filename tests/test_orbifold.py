@@ -11,13 +11,14 @@ and of the twisted sectors (Z3 +- Z4)/2.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 
 from framednet.codes import builtin_code
 from framednet.fusion import fusion_group_disambiguation
-from framednet.netchar import NetCharacter, theta_over_eta
+from framednet.netchar import theta_over_eta
 from framednet.orbifold import (
     fixed_point_sector_chars,
     orbifold_pieces,
@@ -25,7 +26,7 @@ from framednet.orbifold import (
     vacuum_char_from_pieces,
 )
 from framednet.qseries import DEN, QSeries, to_num
-from oracles import leading, product_oracle, self_dual_codes
+from oracles import leading, product_oracle, replication_failures, self_dual_codes
 from test_acceptance import MODULAR_CODES
 
 GOLAY = builtin_code("golay24")
@@ -117,7 +118,8 @@ class TestTwistedSector:
         assert b1.terms and all((n - vacuum) % DEN == 0 for n in b1.terms)
         z3 = p.z3
         z4 = twisted_oracle("1+q^{n-1/2}", z3, d)
-        assert {b1, b2} == {(z3 + z4).half(), (z3 - z4).half()}
+        plus, minus = (z3 + z4).half(), (z3 - z4).half()
+        assert (b1, b2) in [(plus, minus), (minus, plus)]
 
 
 class TestSectors:
@@ -286,44 +288,99 @@ class TestInvolutionTrace:
         assert trace == z2 + QSeries({0: constant}, z2.order)
 
 
-def weight_parity_split(x):
+@lru_cache(maxsize=None)
+def _moonshine_coefficients(order):
+    """a_0 .. a_{order-1} of the completed moonshine character q^-1 + sum a_n q^n."""
+    ch = orbifold_vacuum_char(GOLAY, "Ltilde", steps=order).series
+    assert leading(ch) == (-1, 1)
+    return tuple(ch.coeff(n) for n in range(order))
+
+
+@lru_cache(maxsize=None)
+def _t2b_coefficients(order):
+    """a_0 .. a_{order-1} of T_2B = Z1 + Z2 - ch, with Z1 and Z2 expanded
+    to `order` and ch the completion."""
+    p = orbifold_pieces(GOLAY, "Ltilde", steps=order)
+    trace = p.z1 + p.z2 - orbifold_vacuum_char(GOLAY, "Ltilde", steps=order).series
+    assert leading(trace) == (-1, 1)
+    return tuple(trace.coeff(n) for n in range(order))
+
+
+class TestReplication:
+    """J and T_2B are replicable (Conway-Norton; Norton), and the identities
+    are integer arithmetic on the coefficients, sharing nothing with the E4
+    and eta completion.  The 2-replication of a series exact below q^N
+    ties every a_k with k <= (N + 1)/2 and every even k below N; the
+    3-replication adds the multiples of 3.  J's 2- and 3-plicates are J,
+    and T_2B's 2-plicate is J, as 2B squares into 1A."""
+
+    def test_j_2_replication_to_order_1000(self):
+        j = _moonshine_coefficients(1000)
+        assert j[:3] == (0, 196884, 21493760)
+        assert replication_failures(j, j, 2) == []
+
+    def test_j_3_replication_to_order_200(self):
+        j = _moonshine_coefficients(1000)
+        assert replication_failures(j[:200], j, 3) == []
+
+    def test_t2b_2_replication_to_order_300(self):
+        t2b = _t2b_coefficients(300)
+        assert t2b[:4] == (0, 276, -2048, 11202)
+        assert replication_failures(t2b, _moonshine_coefficients(1000), 2) == []
+
+    def test_one_coefficient_off_by_one_fails(self):
+        j, t2b = _moonshine_coefficients(1000), _t2b_coefficients(300)
+        # a_{m+1} at m = 122, then a_123 a_{m-123} in the sum from m = 124
+        bumped = _bumped(j, 123)
+        assert replication_failures(bumped, bumped, 2)[:3] == [122, 124, 125]
+        assert replication_failures(_bumped(t2b, 123), j, 2)[:3] == [122, 124, 125]
+        # a_{3m} at m = 20, a_{m+2} at m = 58, then a_1 a_60
+        bumped = _bumped(j[:200], 60)
+        assert replication_failures(bumped, bumped, 3)[:3] == [20, 58, 60]
+        # the 2-plicate's b_61 enters at m = 122 only
+        assert replication_failures(t2b, _bumped(j, 61), 2) == [122]
+
+
+def _bumped(coefficients, n):
+    """The coefficients with 1 added to the n-th."""
+    out = list(coefficients)
+    out[n] += 1
+    return out
+
+
+def weight_parity_split(series, c):
     """Split by weight parity: integer-weight part, half-integer part.
 
     Weights are exponents shifted by c/24; all must be half-integers.
     """
-    shift = to_num(x.central_charge / 24)
+    shift = to_num(Fraction(c, 24))
     integer = {}
     half = {}
-    for n, coeff in x.series.terms.items():
+    for n, coeff in series.terms.items():
         w = n + shift
         if w % (DEN // 2) != 0:
             raise ValueError(f"weight {Fraction(w, DEN)} off the half-integer grid")
         (integer if w % DEN == 0 else half)[n] = coeff
-    return (
-        NetCharacter(QSeries(integer, x.series.order), x.central_charge),
-        NetCharacter(QSeries(half, x.series.order), x.central_charge),
-    )
+    return QSeries(integer, series.order), QSeries(half, series.order)
 
 
 class TestParitySplit:
     def test_split_sums_to_whole(self):
-        ch = theta_over_eta(GOLAY, "Ltilde", steps=4)
-        integer, half = weight_parity_split(ch)
-        total = integer.series + half.series
-        assert total.first_difference(ch.series) is None
+        ch = theta_over_eta(GOLAY, "Ltilde", steps=4).series
+        integer, half = weight_parity_split(ch, 24)
+        assert (integer + half).first_difference(ch) is None
         # a lattice-net character has only integer weights
-        assert half.series == QSeries({}, ch.series.order)
+        assert half == QSeries({}, ch.order)
 
     def test_split_separates_twisted_sector(self):
         p = orbifold_pieces(GOLAY, "Ltilde", steps=4)
-        integer, half = weight_parity_split(NetCharacter(p.z3, Fraction(p.d)))
-        assert integer.series.coeff(1) == 98304
-        assert half.series.coeff(Fraction(1, 2)) == 4096
+        integer, half = weight_parity_split(p.z3, p.d)
+        assert integer.coeff(1) == 98304
+        assert half.coeff(Fraction(1, 2)) == 4096
 
     def test_split_off_grid_rejected(self):
-        bad = NetCharacter(QSeries({1: 1}, 100), Fraction(0))
         with pytest.raises(ValueError):
-            weight_parity_split(bad)
+            weight_parity_split(QSeries({1: 1}, 100), 0)
 
 
 @dataclass(frozen=True)

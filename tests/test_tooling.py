@@ -191,17 +191,13 @@ def _enclosing_calls(tree, name):
 
 
 def test_net_character_is_only_a_vacuum_character():
-    """A NetCharacter, series and central charge, is only ever a code's whole
-    vacuum character: the lattice nets' through `_over_eta` and
-    `_holomorphic_char`, the orbifold's read off its pieces.  Building blocks,
-    orbifold traces and sectors are plain series."""
-    built = {
+    """A NetCharacter is only ever a code's whole vacuum character, built in
+    one place, `netchar._vacuum_character`, which checks its leading term
+    1 * q^{-d/24}.  Building blocks, orbifold traces and sectors are plain
+    series."""
+    built = [
         (path.stem, where)
         for path in sorted(SRC.glob("*.py"))
         for where in _enclosing_calls(ast.parse(path.read_text()), "NetCharacter")
-    }
-    assert built == {
-        ("netchar", "_over_eta"),
-        ("netchar", "_holomorphic_char"),
-        ("orbifold", "vacuum_char_from_pieces"),
-    }
+    ]
+    assert built == [("netchar", "_vacuum_character")]
