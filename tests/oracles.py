@@ -316,15 +316,6 @@ def triply_even_by_generators(code):
     )
 
 
-def packed_codewords(code):
-    """Every word of a binary code as an int: the sums of every subset of
-    its generators."""
-    words = [0]
-    for g in map(_packed, code.generators):
-        words += [w ^ g for w in words]
-    return words
-
-
 def orthogonal(a, b):
     """Whether every generator of code a is orthogonal to every one of b."""
     rows = [_packed(g) for g in b.generators]

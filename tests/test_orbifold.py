@@ -306,6 +306,13 @@ def _t2b_coefficients(order):
     return tuple(trace.coeff(n) for n in range(order))
 
 
+def _bumped(coefficients, n):
+    """The coefficients with 1 added to the n-th."""
+    out = list(coefficients)
+    out[n] += 1
+    return out
+
+
 class TestReplication:
     """J and T_2B are replicable (Conway-Norton; Norton), and the identities
     are integer arithmetic on the coefficients, sharing nothing with the E4
@@ -339,13 +346,6 @@ class TestReplication:
         assert replication_failures(bumped, bumped, 3)[:3] == [20, 58, 60]
         # the 2-plicate's b_61 enters at m = 122 only
         assert replication_failures(t2b, _bumped(j, 61), 2) == [122]
-
-
-def _bumped(coefficients, n):
-    """The coefficients with 1 added to the n-th."""
-    out = list(coefficients)
-    out[n] += 1
-    return out
 
 
 def weight_parity_split(series, c):
